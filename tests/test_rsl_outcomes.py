@@ -109,7 +109,36 @@ for i in range(len(a)):
     s = s + a[i]
 return s, {"s": s, "n": len(a)}"""
 
+HUGE = "1" + "0" * 400  # an int literal beyond float range
+
+SPECIAL_CONTEXT = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "iv": np.array([1, 2, 3]),
+    "bv": np.array([True, False, True]),
+    "fv": np.array([1.0, 2.0, 3.0]),
+}
+
+SPECIAL = """c = {"nan_lt": ctx.nan < 1.0, "nan_ne": ctx.nan != ctx.nan, "inf_gt": ctx.inf > 1e308}
+c["iv"] = sum(ctx.iv - ctx.iv * 2)
+c["iv_f"] = sum(ctx.iv * ctx.fv)
+c["bv"] = sum(ctx.bv + ctx.bv)
+c["iv_idx"] = ctx.iv[1.0]
+c["norm_iv"] = norm(ctx.iv)
+return c["iv"], c"""
+
 ERRORS = {
+    "huge_int_add": f"return {HUGE} + 1.0, {{}}",
+    "huge_int_div": f"return {HUGE} / 3, {{}}",
+    "huge_int_neg": f"return -{HUGE}, {{}}",
+    "nan_min": "return min(ctx.nan, 1.0), {}",
+    "nan_min_right": "return min(1.0, ctx.nan), {}",
+    "nan_clip": "return clip(ctx.nan, 0.0, 1.0), {}",
+    "nan_tanh": "return tanh(ctx.nan), {}",
+    "nan_neg": "return -ctx.nan, {}",
+    "inf_sub": "return ctx.inf - ctx.inf, {}",
+    "inf_norm": "return norm([1e200, 1e200]), {}",
+    "bool_array_sub": "return sum(ctx.bv - ctx.bv), {}",
     "div_zero": "return 1.0 / 0.0, {}",
     "div_zero_int": "return 1 / 0, {}",
     "mod_zero": "return 5.0 % 0.0, {}",
@@ -159,7 +188,9 @@ EDGES = {
     "int_overflow": (INT_OVERFLOW, {}),
     "int_at_cap": (INT_AT_CAP, {}),
     "mixed": (MIXED, {"v": np.array([1.0, 2.0, 0.5]), "a": 1.0, "none": None}),
-    **{f"error_{k}": (src, {"a": 1.0}) for k, src in ERRORS.items()},
+    "huge_int": (f"x = {HUGE}\nreturn 0.0, {{\"lt\": x > 1.5, \"mul\": x * 0}}", {}),
+    "special_values": (SPECIAL, SPECIAL_CONTEXT),
+    **{f"error_{k}": (src, {"a": 1.0, **SPECIAL_CONTEXT}) for k, src in ERRORS.items()},
 }
 
 # Steps a completing run of each program uses: it must complete at exactly
