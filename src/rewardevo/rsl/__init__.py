@@ -17,7 +17,6 @@ from .program import (
     EvalLimits,
     RewardOutput,
     RewardProgram,
-    canonical_hash,
     evaluate,
     format_reward_file,
     parse,
@@ -33,7 +32,6 @@ __all__ = [
     "EvalLimits",
     "RewardOutput",
     "RewardProgram",
-    "canonical_hash",
     "evaluate",
     "format_reward_file",
     "parse",

@@ -1,7 +1,21 @@
-"""Bounded evaluator: ASTs compile once into closures, then run per context.
+"""Bounded evaluator: an AST compiles once into Python source, then runs per
+context.
+
+The generator emits one function per rsl block (and per ``elif`` chain,
+short-circuit operand and ``ctx.get`` default), with expressions as
+three-address temporaries, so nesting never reaches Python's own limits.
+Exact ``int``/``float`` operands take inlined fast paths; every other case
+calls the checked helpers below, which own the error messages.
 
 Safety properties enforced here:
-  - every node visit charges the step budget; loops cannot run away
+  - the step budget counts one step per AST node visit and per loop
+    iteration, as a tree walker would; each statement charges its nodes
+    from a static count when it starts (a conditionally evaluated operand
+    when it runs), so loops cannot run away and a completing program uses
+    exactly its node-visit count
+  - program text never enters the generated source: variables are slot
+    numbers, literals, field names and keys are constants ``k<i>``, and
+    the code runs with empty ``__builtins__``
   - any non-finite intermediate aborts with a numeric error
   - context values are never mutated (no vector/matrix assignment exists)
   - all failures are RslRuntimeError subclasses
@@ -10,6 +24,7 @@ Safety properties enforced here:
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,25 +39,17 @@ from .errors import (
 
 _SCALARS = (bool, int, float)
 _INT_BITS_CAP = 256
+_MAG = 2.0**_INT_BITS_CAP  # ints below it have at most _INT_BITS_CAP bits
+_UNSET = object()  # the value of a variable slot before its first assignment
 
 
 class _State:
-    __slots__ = ("steps", "budget", "names", "ctx", "max_len")
+    __slots__ = ("left", "budget", "max_len")
 
-    def __init__(self, budget: int, ctx: dict, max_len: int):
-        self.steps = 0
+    def __init__(self, budget: int, max_len: int):
+        self.left = budget
         self.budget = budget
-        self.names: dict = {}
-        self.ctx = ctx
         self.max_len = max_len
-
-
-def _charge(state: _State):
-    state.steps += 1
-    if state.steps > state.budget:
-        raise RslBudgetError(
-            f"step budget exceeded ({state.budget} interpreter steps)"
-        )
 
 
 def _kind(v) -> str:
@@ -273,7 +280,7 @@ def _b_corr(args):
     return c
 
 
-def _call_builtin(name: str, args: list, state: _State):
+def _call_builtin(name: str, args: list):
     if name == "abs":
         return _unary_math(args, "abs", abs, np.abs)
     if name in ("min", "max"):
@@ -406,332 +413,461 @@ def _call_builtin(name: str, args: list, state: _State):
     raise RslTypeError(f"unknown builtin {name!r}")  # pragma: no cover
 
 
-def _ctx_read(state: _State, field: str):
-    v = state.ctx.get(field)
-    if v is None:
-        raise RslMissingKeyError(
-            f"context field {field!r} is absent; optional fields must be read "
-            f"with ctx.get({field!r}, default)"
+# -- helpers the generated code calls ---------------------------------------
+
+
+def _over_budget(state: _State):
+    raise RslBudgetError(f"step budget exceeded ({state.budget} interpreter steps)")
+
+
+def _undefined(name: str):
+    raise RslTypeError(f"name {name!r} is not defined")
+
+
+def _missing(field: str):
+    raise RslMissingKeyError(
+        f"context field {field!r} is absent; optional fields must be read "
+        f"with ctx.get({field!r}, default)"
+    )
+
+
+def _negate(v):
+    return _guard(-_num_only(v, "unary -"))
+
+
+def _call(name: str, args: list):
+    return _guard(_call_builtin(name, args))
+
+
+def _index(obj, key):
+    if isinstance(obj, np.ndarray):
+        if type(key) is float and key.is_integer():
+            idx = int(key)
+        else:
+            idx = _int_arg(key, "index")
+        n = obj.shape[0]
+        if not -n <= idx < n:
+            raise RslValueError(f"index {idx} out of range for length {n}")
+        v = obj[idx]
+        return v if isinstance(v, np.ndarray) else float(v)
+    if isinstance(obj, dict):
+        if not isinstance(key, str):
+            raise RslTypeError("record index must be a string")
+        try:
+            return obj[key]
+        except KeyError:
+            raise RslValueError(f"record has no key {key!r}")
+    raise RslTypeError(f"cannot index a {_kind(obj)}")
+
+
+def _vector(state: _State, vals: list):
+    if len(vals) > state.max_len:
+        raise RslValueError("collection literal too long")
+    if all(isinstance(v, _SCALARS) for v in vals):
+        return _guard(np.array(vals, dtype=float))
+    if vals and all(isinstance(v, np.ndarray) and v.ndim == 1 for v in vals):
+        if len({v.shape[0] for v in vals}) != 1:
+            raise RslValueError("matrix rows must have equal length")
+        return _guard(np.array(vals, dtype=float))
+    raise RslTypeError(
+        "vector literals hold scalars; matrix literals hold equal-length vectors"
+    )
+
+
+def _record_value(v, key: str) -> float:
+    if not isinstance(v, _SCALARS):
+        raise RslTypeError(f"record values must be scalars, got {_kind(v)} for {key!r}")
+    return _guard_scalar(float(v))
+
+
+def _setitem_target(obj, name: str) -> dict:
+    if obj is _UNSET:
+        _undefined(name)
+    if not isinstance(obj, dict):
+        raise RslTypeError(
+            f"subscript assignment needs a record, {name!r} is {_kind(obj)}"
         )
-    return v
+    return obj
 
 
-# -- compilation ---------------------------------------------------------
+def _setitem_key(k):
+    if not isinstance(k, str):
+        raise RslTypeError("record key must be a string")
 
 
-def _compile_expr(node):
-    tag = node[0]
+def _store(state: _State, obj: dict, k: str, v):
+    if not isinstance(v, _SCALARS):
+        raise RslTypeError(f"record values must be scalars, got {_kind(v)}")
+    if len(obj) >= state.max_len and k not in obj:
+        raise RslValueError("record too large")
+    obj[k] = _guard_scalar(float(v))
 
-    if tag == "num" or tag == "bool" or tag == "str":
-        v = node[1]
 
-        def ev(state, _v=v):
-            _charge(state)
-            return _v
+def _loop_range(count) -> range:
+    n = _int_arg(count, "range()")
+    if n < 0:
+        raise RslValueError("range() count must be >= 0")
+    return range(n)
 
-        return ev
 
-    if tag == "name":
-        name = node[1]
+def _result(total, rec):
+    if not isinstance(total, _SCALARS):
+        raise RslTypeError(f"reward total must be a scalar, got {_kind(total)}")
+    if not isinstance(rec, dict):
+        raise RslTypeError(f"reward components must be a record, got {_kind(rec)}")
+    out = {}
+    for k, v in rec.items():
+        if not isinstance(v, _SCALARS):
+            raise RslTypeError(f"component {k!r} must be a scalar, got {_kind(v)}")
+        out[k] = _guard_scalar(float(v))
+    return _guard_scalar(float(total)), out
 
-        def ev(state, _n=name):
-            _charge(state)
-            try:
-                return state.names[_n]
-            except KeyError:
-                raise RslTypeError(f"name {_n!r} is not defined")
 
-        return ev
+# Operand subtrees of each node, in evaluation order.
+_OPERANDS = {
+    "un": lambda n: n[2:3],
+    "bin": lambda n: n[2:4],
+    "cmp": lambda n: n[2:4],
+    "boolop": lambda n: n[2:3],  # the right operand runs only when needed
+    "call": lambda n: n[2],
+    "idx": lambda n: n[1:3],
+    "vec": lambda n: n[1],
+}
 
-    if tag == "ctx":
-        field = node[1]
+# Globals of every generated module; its builtins stay empty.
+_RUNTIME = {
+    "__builtins__": {},
+    "type": type, "float": float, "int": int, "MAG": _MAG,
+    "ND": np.ndarray, "F64": np.dtype(np.float64), "SUM": np.add.reduce,
+    "U": _UNSET, "O": _over_budget, "N": _undefined, "M": _missing, "T": _truth,
+    "G": _guard, "B": _binop, "C": _compare, "NEG": _negate, "CALL": _call,
+    "IDX": _index, "VEC": _vector, "RV": _record_value, "SI": _setitem_target,
+    "SK": _setitem_key, "ST": _store, "R": _loop_range,
+    "ABS": abs, "TANH": math.tanh, "EXP": math.exp, "LOG": math.log,
+    "LOG1P": math.log1p, "SQRT": math.sqrt,
+}
 
-        def ev(state, _f=field):
-            _charge(state)
-            return _ctx_read(state, _f)
+# One-argument builtins inlined for finite floats inside the domain where the
+# math function neither raises nor leaves the finite range.
+_UNARY_FAST = {
+    "abs": ("ABS", "-MAG < {a} < MAG"),
+    "tanh": ("TANH", "-MAG < {a} < MAG"),
+    "exp": ("EXP", "{a} < 709.0"),
+    "log": ("LOG", "0.0 < {a} < MAG"),
+    "log1p": ("LOG1P", "-1.0 < {a} < MAG"),
+    "sqrt": ("SQRT", "0.0 <= {a} < MAG"),
+}
 
-        return ev
 
-    if tag == "ctxget":
-        field = node[1]
-        default = _compile_expr(node[2])
+# -- code generation -------------------------------------------------------
 
-        def ev(state, _f=field, _d=default):
-            _charge(state)
-            v = state.ctx.get(_f)
-            if v is None:
-                return _d(state)
-            return v
 
-        return ev
+class _Fn:
+    """One generated function: its lines, temporaries and the count of AST
+    nodes its current statement visits unconditionally."""
 
-    if tag == "un":
-        op = node[1]
-        sub = _compile_expr(node[2])
-        if op == "-":
+    __slots__ = ("lines", "temps", "nodes")
 
-            def ev(state, _s=sub):
-                _charge(state)
-                v = _num_only(_s(state), "unary -")
-                return _guard(-v)
+    def __init__(self):
+        self.lines: list[str] = []
+        self.temps = 0
+        self.nodes = 0
 
-            return ev
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
 
-        def ev(state, _s=sub):
-            _charge(state)
-            return not _truth(_s(state))
+    def begin(self, nodes: int) -> int:
+        """Open a charged unit; ``charge`` fills in its step count."""
+        self.nodes = nodes
+        self.lines.append("")
+        return len(self.lines) - 1
 
-        return ev
+    def charge(self, at: int):
+        self.lines[at] = f"S.left -= {self.nodes}\nif S.left < 0: O(S)"
 
-    if tag == "bin":
-        op = node[1]
-        left = _compile_expr(node[2])
-        right = _compile_expr(node[3])
 
-        def ev(state, _op=op, _l=left, _r=right):
-            _charge(state)
-            return _binop(_op, _l(state), _r(state))
+class _Generator:
+    """Turns a parsed program into Python source, one function per block.
 
-        return ev
+    Generation recurses through fewer frames per nesting level than the
+    parser and ``parser.dump`` need for the same level, so whatever parses
+    also compiles.
+    """
 
-    if tag == "cmp":
-        op = node[1]
-        left = _compile_expr(node[2])
-        right = _compile_expr(node[3])
+    def __init__(self):
+        self.consts: dict = {}
+        self.values: list = []
+        self.slots: dict = {}
+        self.defined: set = set()  # slots assigned on every path to here
+        self.defs: list[str] = []
 
-        def ev(state, _op=op, _l=left, _r=right):
-            _charge(state)
-            return _compare(_op, _l(state), _r(state))
+    def const(self, v) -> str:
+        i = self.consts.setdefault((type(v), repr(v)), len(self.values))
+        if i == len(self.values):
+            self.values.append(v)
+        return f"k{i}"
 
-        return ev
+    def known(self, operand: str):
+        """The value of a constant operand, None for a runtime value."""
+        return self.values[int(operand[1:])] if operand[0] == "k" else None
 
-    if tag == "boolop":
-        op = node[1]
-        left = _compile_expr(node[2])
-        right = _compile_expr(node[3])
-        if op == "and":
+    def slot(self, name: str) -> int:
+        return self.slots.setdefault(name, len(self.slots))
 
-            def ev(state, _l=left, _r=right):
-                _charge(state)
-                return _truth(_l(state)) and _truth(_r(state))
+    def finish(self, fn: _Fn) -> str:
+        name = f"f{len(self.defs)}"
+        body = "\n".join(fn.lines).replace("\n", "\n    ")
+        self.defs.append(f"def {name}(S, V, X):\n    {body}\n")
+        return name
 
-            return ev
+    # -- statements --------------------------------------------------------
 
-        def ev(state, _l=left, _r=right):
-            _charge(state)
-            return _truth(_l(state)) or _truth(_r(state))
+    def block(self, stmts, extra: int = 0) -> tuple[str, set]:
+        """A function running ``stmts``, with ``extra`` steps charged on the
+        first; returns its name and the slots defined after it."""
+        before = self.defined
+        self.defined = set(before)
+        fn = _Fn()
+        for k, stmt in enumerate(stmts):
+            self.stmt(fn, stmt, extra if k == 0 else 0)
+        after, self.defined = self.defined, before
+        return self.finish(fn), after
 
-        return ev
+    def stmt(self, fn: _Fn, node, extra: int):
+        at = fn.begin(extra + 1)
+        emit = fn.lines.append
+        tag = node[0]
+        if tag == "assign":
+            a = self.expr(fn, node[2])
+            slot = self.slot(node[1])
+            emit(f"V[{slot}] = {a}")
+            self.defined.add(slot)
+        elif tag == "setitem":
+            obj = fn.temp()
+            emit(f"{obj} = SI(V[{self.slot(node[1])}], {self.const(node[1])})")
+            k = self.expr(fn, node[2])
+            if not isinstance(self.known(k), str):
+                emit(f"SK({k})")
+            v = self.expr(fn, node[3])
+            emit(f"ST(S, {obj}, {k}, {v})")
+        elif tag == "if":
+            self.branch(fn, node[1], node[2])
+        else:  # for
+            count = self.expr(fn, node[2])
+            slot, i, outer = self.slot(node[1]), fn.temp(), self.defined
+            self.defined = outer | {slot}
+            body, _ = self.block(node[3], extra=1)
+            self.defined = outer
+            emit(f"for {i} in R({count}):")
+            emit(f"    V[{slot}] = {i}")
+            emit(f"    {body}(S, V, X)")
+        fn.charge(at)
 
-    if tag == "call":
-        name = node[1]
-        arg_fns = tuple(_compile_expr(a) for a in node[2])
+    def branch(self, fn: _Fn, arms, else_block):
+        """The first test runs in ``fn``; later ``elif`` tests share one
+        function, each charged when it is reached."""
+        before, defined = self.defined, None
+        chain = fn
+        for k, (cond, then) in enumerate(arms):
+            if k == 1:
+                chain = _Fn()
+            at = chain.begin(0) if k else None
+            c = self.expr(chain, cond)
+            if k:
+                chain.charge(at)
+            then_fn, out = self.block(then)
+            defined = out if defined is None else defined & out
+            done = "return " if k else ""
+            chain.lines.append(f"if {self.truth(c)}: {done}{then_fn}(S, V, X)")
+        if else_block is not None:
+            else_fn, out = self.block(else_block)
+            self.defined = defined & out
+            chain.lines.append(f"{'' if len(arms) > 1 else 'else: '}{else_fn}(S, V, X)")
+        else:
+            self.defined = before
+        if chain is not fn:
+            fn.lines.append(f"else: {self.finish(chain)}(S, V, X)")
 
-        def ev(state, _n=name, _a=arg_fns):
-            _charge(state)
-            args = [fn(state) for fn in _a]
-            return _guard(_call_builtin(_n, args, state))
+    # -- expressions -------------------------------------------------------
 
-        return ev
+    def truth(self, a: str) -> str:
+        return f"({a} is True or {a} is not False and T({a}))"
 
-    if tag == "idx":
-        base = _compile_expr(node[1])
-        sub = _compile_expr(node[2])
+    def numeric(self, *operands: str, bounded: bool = True) -> list[str]:
+        """Runtime tests that ``operands`` are exact floats, or exact ints
+        that convert to float when ``bounded``."""
+        tests = []
+        for a in operands:
+            v = self.known(a)
+            if type(v) is float or type(v) is int and -_MAG < v < _MAG:
+                continue
+            bound = f" and -MAG < {a} < MAG" if bounded else ""
+            tests.append(f"(type({a}) is float or type({a}) is int{bound})")
+        return tests
 
-        def ev(state, _b=base, _s=sub):
-            _charge(state)
-            obj = _b(state)
-            key = _s(state)
-            if isinstance(obj, dict):
-                if not isinstance(key, str):
-                    raise RslTypeError("record index must be a string")
-                try:
-                    return obj[key]
-                except KeyError:
-                    raise RslValueError(f"record has no key {key!r}")
-            if isinstance(obj, np.ndarray):
-                idx = _int_arg(key, "index")
-                n = obj.shape[0]
-                if not -n <= idx < n:
-                    raise RslValueError(f"index {idx} out of range for length {n}")
-                v = obj[idx]
-                if isinstance(v, np.ndarray):
-                    return v
-                return float(v)
-            raise RslTypeError(f"cannot index a {_kind(obj)}")
+    def is_float(self, *operands: str) -> list[str]:
+        known = [type(self.known(a)) is float for a in operands]
+        return [f"type({a}) is float" for a, k in zip(operands, known) if not k]
 
-        return ev
+    def value_fn(self, node) -> str:
+        """A function returning the value of ``node``, charged when called."""
+        fn = _Fn()
+        at = fn.begin(0)
+        fn.lines.append(f"return {self.expr(fn, node)}")
+        fn.charge(at)
+        return self.finish(fn)
 
-    if tag == "vec":
-        elem_fns = tuple(_compile_expr(e) for e in node[1])
+    def expr(self, fn: _Fn, node) -> str:
+        fn.nodes += 1
+        tag = node[0]
+        if tag in ("num", "bool", "str"):
+            return self.const(node[1])
+        if tag == "un" and node[1] == "-" and node[2][0] == "num":
+            # A negated literal is a constant when its guard would pass.
+            if -_MAG < node[2][1] < _MAG:
+                fn.nodes += 1
+                return self.const(-node[2][1])
+        args = []  # evaluated left to right; a loop keeps one frame per level
+        for sub in _OPERANDS.get(tag, lambda n: ())(node):
+            args.append(self.expr(fn, sub))
+        if tag == "call":
+            return self.call(fn, node[1], args)
+        t = fn.temp()
+        emit = fn.lines.append
+        if tag == "idx":
+            emit(f"{t} = IDX({args[0]}, {args[1]})")
+        elif tag == "vec":
+            emit(f"{t} = VEC(S, [{', '.join(args)}])")
+        elif tag == "rec":
+            emit(f"{t} = {{}}")
+            for key, value in node[1]:
+                v, k = self.expr(fn, value), self.const(key)
+                emit(f"{t}[{k}] = RV({v}, {k})")
+        elif tag == "un" and node[1] == "not":
+            emit(f"{t} = not {self.truth(args[0])}")
+        elif tag == "un":
+            a = args[0]
+            tests = self.numeric(a, bounded=False) + [f"-MAG < {a} < MAG"]
+            emit(f"{t} = -{a} if {' and '.join(tests)} else NEG({a})")
+        elif tag == "boolop":
+            right = self.value_fn(node[3])
+            emit(f"{t} = {self.truth(args[0])} {node[1]} T({right}(S, V, X))")
+        elif tag in ("bin", "cmp"):
+            self.arith(fn, t, node[1], *args, tag == "cmp")
+        elif tag == "name":
+            slot = self.slot(node[1])
+            emit(f"{t} = V[{slot}]")
+            if slot not in self.defined:
+                emit(f"if {t} is U: N({self.const(node[1])})")
+        elif tag == "ctx":
+            k = self.const(node[1])
+            emit(f"{t} = X.get({k})")
+            emit(f"if {t} is None: M({k})")
+        else:  # ctxget
+            k = self.const(node[1])
+            emit(f"{t} = X.get({k})")
+            emit(f"if {t} is None: {t} = {self.value_fn(node[2])}(S, V, X)")
+        return t
 
-        def ev(state, _e=elem_fns):
-            _charge(state)
-            vals = [fn(state) for fn in _e]
-            if len(vals) > state.max_len:
-                raise RslValueError("collection literal too long")
-            if all(isinstance(v, _SCALARS) for v in vals):
-                return _guard(np.array(vals, dtype=float))
-            if vals and all(
-                isinstance(v, np.ndarray) and v.ndim == 1 for v in vals
-            ):
-                if len({v.shape[0] for v in vals}) != 1:
-                    raise RslValueError("matrix rows must have equal length")
-                return _guard(np.array(vals, dtype=float))
-            raise RslTypeError(
-                "vector literals hold scalars; matrix literals hold equal-length vectors"
+    def arith(self, fn: _Fn, t: str, op: str, a: str, b: str, compare: bool):
+        emit = fn.lines.append
+        k = self.const(op)
+        if compare:  # any two ints or floats compare without raising
+            tests = " and ".join(self.numeric(a, b, bounded=False))
+            slow = f" if {tests} else C({k}, {a}, {b})" if tests else ""
+            emit(f"{t} = {a} {op} {b}{slow}")
+            return
+        if op == "**":
+            emit(f"{t} = B({k}, {a}, {b})")
+            return
+        tests = self.numeric(a, b)
+        divisor = self.known(b)
+        if op in "/%" and not (type(divisor) in (float, int) and divisor):
+            tests.append(b)  # a zero divisor takes the checked path
+        emit(f"if {' and '.join(tests) or 'True'}:")
+        emit(f"    {t} = {a} {op} {b}")
+        emit(f"    if not -MAG < {t} < MAG: {t} = G({t})")
+        if "k" not in (a[0], b[0]):
+            # Equal-shape float arrays: a finite sum proves every element finite.
+            emit(
+                f"elif type({a}) is ND and type({b}) is ND and {a}.dtype is F64 "
+                f"and {b}.dtype is F64 and {a}.shape == {b}.shape:"
             )
+            emit(f"    {t} = {a} {op} {b}")
+            emit(f"    if not -MAG < SUM({t}, None) < MAG: {t} = G({t})")
+        emit(f"else: {t} = B({k}, {a}, {b})")
 
-        return ev
-
-    if tag == "rec":
-        item_fns = tuple((k, _compile_expr(v)) for k, v in node[1])
-
-        def ev(state, _i=item_fns):
-            _charge(state)
-            out = {}
-            for k, fn in _i:
-                v = fn(state)
-                if not isinstance(v, _SCALARS):
-                    raise RslTypeError(
-                        f"record values must be scalars, got {_kind(v)} for {k!r}"
-                    )
-                out[k] = _guard_scalar(float(v))
-            return out
-
-        return ev
-
-    raise RslTypeError(f"unknown AST node {tag!r}")  # pragma: no cover
-
-
-def _compile_block(stmts):
-    fns = tuple(_compile_stmt(s) for s in stmts)
-
-    def run(state, _f=fns):
-        for fn in _f:
-            fn(state)
-
-    return run
-
-
-def _compile_stmt(node):
-    tag = node[0]
-
-    if tag == "assign":
-        name = node[1]
-        value = _compile_expr(node[2])
-
-        def run(state, _n=name, _v=value):
-            _charge(state)
-            state.names[_n] = _v(state)
-
-        return run
-
-    if tag == "setitem":
-        name = node[1]
-        key = _compile_expr(node[2])
-        value = _compile_expr(node[3])
-
-        def run(state, _n=name, _k=key, _v=value):
-            _charge(state)
-            try:
-                obj = state.names[_n]
-            except KeyError:
-                raise RslTypeError(f"name {_n!r} is not defined")
-            if not isinstance(obj, dict):
-                raise RslTypeError(
-                    f"subscript assignment needs a record, {_n!r} is {_kind(obj)}"
-                )
-            k = _k(state)
-            if not isinstance(k, str):
-                raise RslTypeError("record key must be a string")
-            v = _v(state)
-            if not isinstance(v, _SCALARS):
-                raise RslTypeError(
-                    f"record values must be scalars, got {_kind(v)}"
-                )
-            if len(obj) >= state.max_len and k not in obj:
-                raise RslValueError("record too large")
-            obj[k] = _guard_scalar(float(v))
-
-        return run
-
-    if tag == "if":
-        arms = tuple(
-            (_compile_expr(cond), _compile_block(block)) for cond, block in node[1]
-        )
-        else_block = _compile_block(node[2]) if node[2] is not None else None
-
-        def run(state, _a=arms, _e=else_block):
-            _charge(state)
-            for cond, block in _a:
-                if _truth(cond(state)):
-                    block(state)
-                    return
-            if _e is not None:
-                _e(state)
-
-        return run
-
-    if tag == "for":
-        var = node[1]
-        count = _compile_expr(node[2])
-        body = _compile_block(node[3])
-
-        def run(state, _v=var, _c=count, _b=body):
-            _charge(state)
-            n = _int_arg(_c(state), "range()")
-            if n < 0:
-                raise RslValueError("range() count must be >= 0")
-            names = state.names
-            for i in range(n):
-                _charge(state)
-                names[_v] = i
-                _b(state)
-
-        return run
-
-    raise RslTypeError(f"unknown statement {tag!r}")  # pragma: no cover
+    def call(self, fn: _Fn, name: str, args: list[str]) -> str:
+        t = fn.temp()
+        slow = f"CALL({self.const(name)}, [{', '.join(args)}])"
+        emit = fn.lines.append
+        if name in _UNARY_FAST and len(args) == 1:
+            f, domain = _UNARY_FAST[name]
+            a = args[0]
+            tests = " and ".join(self.is_float(a) + [domain.format(a=a)])
+            emit(f"{t} = {f}({a}) if {tests} else {slow}")
+            return t
+        if name == "norm" and len(args) == 1:
+            a = args[0]
+            emit(f"if type({a}) is ND and {a}.dtype is F64 and {a}.size:")
+            emit(f"    {t} = SQRT(SUM({a} * {a}, None))")
+        elif name in ("min", "max") and len(args) == 2:
+            # numpy's minimum/maximum: the second operand on ties (signed
+            # zeros), NaN from either side.
+            a, b = args
+            emit(f"if {' and '.join(self.is_float(a, b)) or 'True'}:")
+            first = f"{a} {'<>'[name == 'max']} {b} or {a} != {a}"
+            emit(f"    {t} = {a} if {first} else {b}")
+        elif name == "clip" and len(args) == 3:
+            # Python's max(x, lo) then min(., hi), as the scalar clip does.
+            x, lo, hi = args
+            tests = self.is_float(x, lo, hi)
+            lo_v, hi_v = self.known(lo), self.known(hi)
+            if not (type(lo_v) is float is type(hi_v) and lo_v <= hi_v):
+                tests.append(f"{lo} <= {hi}")
+            emit(f"if {' and '.join(tests) or 'True'}:")
+            emit(f"    {t} = {lo} if {lo} > {x} else {x}")
+            emit(f"    {t} = {hi} if {hi} < {t} else {t}")
+        else:
+            emit(f"{t} = {slow}")
+            return t
+        emit(f"    if not -MAG < {t} < MAG: {t} = G({t})")
+        emit(f"else: {t} = {slow}")
+        return t
 
 
-def compile_program(ast):
-    """Compile ("program", stmts) into fn(state) -> (total, components)."""
-    stmts = ast[1]
-    body = _compile_block(stmts[:-1])
-    ret = stmts[-1]
-    total_fn = _compile_expr(ret[1])
-    rec_fn = _compile_expr(ret[2])
-
-    def run(state):
-        body(state)
-        total = total_fn(state)
-        rec = rec_fn(state)
-        if not isinstance(total, _SCALARS):
-            raise RslTypeError(
-                f"reward total must be a scalar, got {_kind(total)}"
-            )
-        if not isinstance(rec, dict):
-            raise RslTypeError(
-                f"reward components must be a record, got {_kind(rec)}"
-            )
-        out = {}
-        for k, v in rec.items():
-            if not isinstance(v, _SCALARS):
-                raise RslTypeError(
-                    f"component {k!r} must be a scalar, got {_kind(v)}"
-                )
-            out[k] = _guard_scalar(float(v))
-        return _guard_scalar(float(total)), out
-
-    return run
+class CompiledProgram(NamedTuple):
+    entry: object
+    slots: int
+    source: str
 
 
-def run_compiled(compiled, context: dict, budget: int, max_len: int):
+def compile_program(ast) -> CompiledProgram:
+    """Generate and compile the Python source of ("program", stmts)."""
+    gen = _Generator()
+    *stmts, (_, total, rec) = ast[1]
+    fn = _Fn()
+    for stmt in stmts:
+        gen.stmt(fn, stmt, 0)
+    at = fn.begin(0)
+    t, r = gen.expr(fn, total), gen.expr(fn, rec)
+    fn.lines.append(f"return {t}, {r}")
+    fn.charge(at)
+    entry = gen.finish(fn)
+    source = "".join(gen.defs)
+    namespace = dict(_RUNTIME)
+    namespace.update((f"k{i}", v) for i, v in enumerate(gen.values))
+    exec(compile(source, "<rsl>", "exec"), namespace)
+    return CompiledProgram(namespace[entry], len(gen.slots), source)
+
+
+def run_compiled(compiled: CompiledProgram, context: dict, budget: int, max_len: int):
     """Execute with guards; returns (total, components)."""
-    state = _State(budget, context, max_len)
+    state = _State(budget, max_len)
     old = np.seterr(all="ignore")
     try:
-        return compiled(state)
+        return _result(*compiled.entry(state, [_UNSET] * compiled.slots, context))
     except RslRuntimeError:
         raise
     except RecursionError:

@@ -69,13 +69,14 @@ def parse(source: str) -> RewardProgram:
         task_hint = header.group("task")
     try:
         ast, fields = parse_source(source)
+        canonical = dump(ast)
     except RslParseError:
         raise
     except RecursionError:
         raise RslParseError("nesting too deep")
     except Exception as exc:  # totality: tokenizer/parser never crash outward
         raise RslParseError(f"internal parse error: {type(exc).__name__}: {exc}")
-    digest = hashlib.sha256(dump(ast).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return RewardProgram(
         source_text=source,
         parsed_ast=ast,
@@ -83,11 +84,6 @@ def parse(source: str) -> RewardProgram:
         content_hash=digest,
         task_hint=task_hint,
     )
-
-
-def canonical_hash(program: RewardProgram) -> str:
-    """Whitespace/comment-insensitive digest, stable across platforms."""
-    return program.content_hash
 
 
 def validate(program: RewardProgram, schema_fields) -> None:
@@ -177,7 +173,6 @@ __all__ = [
     "RewardOutput",
     "RewardProgram",
     "parse",
-    "canonical_hash",
     "validate",
     "schema_errors",
     "evaluate",

@@ -73,6 +73,18 @@ class TestRequestIndividual:
         result = request_individual(mock, "m2", _m2_vars(), get_schema(DE))
         assert result is not None and result[3] == 2
 
+    def test_too_deeply_nested_response_triggers_reprompt(self):
+        lines = ["    " * k + "if 1 > 0:" for k in range(100)]
+        deep = "\n".join(lines + ["    " * 100 + "x = 1.0", "return 0.0, {}"])
+        mock = llm.MockProvider(
+            [
+                {"template_id": "m2", "response": f"nested\n```rsl\n{deep}\n```"},
+                {"template_id": "m2", "response": reward_response(0.3)},
+            ]
+        )
+        result = request_individual(mock, "m2", _m2_vars(), get_schema(DE))
+        assert result is not None and result[3] == 2
+
     def test_exhausted_returns_none(self):
         mock = llm.MockProvider(
             [{"template_id": "m2", "response": "still no block"}] * 3

@@ -94,6 +94,12 @@ class TestParse:
         with pytest.raises(RslParseError):
             rsl.parse(src)
 
+    def test_rejects_deep_block_nesting(self):
+        lines = ["    " * k + "if 1 > 0:" for k in range(100)]
+        src = "\n".join(lines + ["    " * 100 + "x = 1.0", "return 0.0, {}"])
+        with pytest.raises(RslParseError, match="nesting too deep"):
+            rsl.parse(src)
+
     def test_bracket_continuation(self):
         p = rsl.parse("x = (1.0 +\n     2.0)\nreturn x, {}")
         assert rsl.evaluate(p, {}).total == 3.0
@@ -103,7 +109,7 @@ class TestHash:
     def test_whitespace_and_comment_invariance(self):
         a = rsl.parse("x = 1.0\nreturn x, {}")
         b = rsl.parse("# different text\nx   =   1.0\n\n\nreturn x,{}")
-        assert rsl.canonical_hash(a) == rsl.canonical_hash(b)
+        assert a.content_hash == b.content_hash
 
     def test_distinct_programs_distinct_digests(self):
         a = rsl.parse("return 1.0, {}")
@@ -278,6 +284,71 @@ return acc, {}
                 "return sum([1.0, 2.0, 3.0]), {}",
                 limits=EvalLimits(max_collection_length=2),
             )
+
+
+def _deepest(make, start: int) -> tuple[int, str]:
+    """The most deeply nested program of a family that still parses here."""
+    n = start
+    while True:
+        try:
+            rsl.parse(make(n + 1))
+        except RslParseError:
+            return n, make(n)
+        n += 1
+
+
+class TestCompile:
+    def test_generated_source_holds_no_program_text(self):
+        src = """
+zeta_name = ctx.omega_field + 123.456
+x² = ctx.get("psi_field", 7.25)
+rec = {"kappa_key": zeta_name, "q\\"uote": x²}
+rec["__import__('os')"] = 9.5
+if zeta_name > 31.5 and x² < 1e999:
+    rec["lambda_key"] = 86.75
+return zeta_name, rec
+"""
+        program = rsl.parse(src)
+        compiled = program.compiled()
+        for text in ["zeta", "omega", "psi", "kappa", "lambda", "import", "uote",
+                     "x²", "123", "456", "7.25", "31.5", "9.5", "86", "1e999", "inf"]:
+            assert text not in compiled.source, text
+        assert compiled.entry.__globals__["__builtins__"] == {}
+        out = rsl.evaluate(program, {"omega_field": 1.0})
+        assert out.total == 124.456 and out.components["lambda_key"] == 86.75
+
+    def test_generated_code_cannot_reach_builtins(self):
+        compiled = rsl.parse("return 0.0, {}").compiled()
+        with pytest.raises(NameError):
+            exec("open", compiled.entry.__globals__)
+
+    @pytest.mark.parametrize(
+        "make,start,total",
+        [
+            (lambda n: "s = 0.0\n" + "\n".join(
+                "    " * k + "if s < 1.0:" for k in range(n)
+            ) + "\n" + "    " * n + "s = s + 1.0\nreturn s, {}", 40, lambda n: 1.0),
+            (lambda n: "s = 0.0\n" + "\n".join(
+                "    " * k + f"for i{k} in range(1):" for k in range(n)
+            ) + "\n" + "    " * n + "s = s + 1.0\nreturn s, {}", 40, lambda n: 1.0),
+            (lambda n: "return " + "-" * n + "1.0, {}", 200, lambda n: (-1.0) ** n),
+            (lambda n: "return " + " or ".join(["0.0"] * n) + ", {}", 200, lambda n: 0.0),
+            (lambda n: "return " + "(1.0 + " * n + "1.0" + ")" * n + ", {}", 40,
+             lambda n: n + 1.0),
+        ],
+        ids=["if", "for", "negation", "or-chain", "parentheses"],
+    )
+    def test_deepest_parsable_program_compiles_and_runs(self, make, start, total):
+        n, src = _deepest(make, start)
+        assert rsl.evaluate(rsl.parse(src), {}).total == total(n)
+
+    def test_completing_program_uses_the_same_steps_at_any_budget(self):
+        src = "s = 0.0\nfor i in range(50):\n    s = s + ctx.get(\"w\", 1.0)\nreturn s, {}"
+        program = rsl.parse(src)
+        steps = 2 + 2 + 50 * 6 + 1 + 1  # assign, for head, iterations, return
+        assert rsl.evaluate(program, {}, EvalLimits(max_interpreter_steps=steps)).total == 50.0
+        with pytest.raises(RslBudgetError):
+            rsl.evaluate(program, {}, EvalLimits(max_interpreter_steps=steps - 1))
 
 
 class TestPurity:
