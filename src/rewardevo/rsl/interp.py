@@ -431,14 +431,6 @@ def _missing(field: str):
     )
 
 
-def _negate(v):
-    return _guard(-_num_only(v, "unary -"))
-
-
-def _call(name: str, args: list):
-    return _guard(_call_builtin(name, args))
-
-
 def _index(obj, key):
     if isinstance(obj, np.ndarray):
         if type(key) is float and key.is_integer():
@@ -537,10 +529,10 @@ _OPERANDS = {
 # Globals of every generated module; its builtins stay empty.
 _RUNTIME = {
     "__builtins__": {},
-    "type": type, "float": float, "int": int, "MAG": _MAG,
+    "type": type, "float": float, "int": int, "MAG": _MAG, "U": _UNSET,
     "ND": np.ndarray, "F64": np.dtype(np.float64), "SUM": np.add.reduce,
-    "U": _UNSET, "O": _over_budget, "N": _undefined, "M": _missing, "T": _truth,
-    "G": _guard, "B": _binop, "C": _compare, "NEG": _negate, "CALL": _call,
+    "O": _over_budget, "N": _undefined, "M": _missing, "T": _truth, "G": _guard,
+    "B": _binop, "C": _compare, "NUM": _num_only, "CALL": _call_builtin,
     "IDX": _index, "VEC": _vector, "RV": _record_value, "SI": _setitem_target,
     "SK": _setitem_key, "ST": _store, "R": _loop_range,
     "ABS": abs, "TANH": math.tanh, "EXP": math.exp, "LOG": math.log,
@@ -749,7 +741,8 @@ class _Generator:
         elif tag == "un":
             a = args[0]
             tests = self.numeric(a, bounded=False) + [f"-MAG < {a} < MAG"]
-            emit(f"{t} = -{a} if {' and '.join(tests)} else NEG({a})")
+            slow = f"G(-NUM({a}, {self.const('unary -')}))"
+            emit(f"{t} = -{a} if {' and '.join(tests)} else {slow}")
         elif tag == "boolop":
             right = self.value_fn(node[3])
             emit(f"{t} = {self.truth(args[0])} {node[1]} T({right}(S, V, X))")
@@ -800,7 +793,7 @@ class _Generator:
 
     def call(self, fn: _Fn, name: str, args: list[str]) -> str:
         t = fn.temp()
-        slow = f"CALL({self.const(name)}, [{', '.join(args)}])"
+        slow = f"G(CALL({self.const(name)}, [{', '.join(args)}]))"
         emit = fn.lines.append
         if name in _UNARY_FAST and len(args) == 1:
             f, domain = _UNARY_FAST[name]

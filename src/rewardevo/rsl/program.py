@@ -46,7 +46,7 @@ class RewardProgram:
     source_text: str
     parsed_ast: tuple = field(repr=False)
     referenced_fields: frozenset[str]
-    content_hash: str
+    content_hash: str  # sha256 of the AST: blind to whitespace and comments
     task_hint: str | None = None
     _compiled: object = field(default=None, repr=False, compare=False)
 
