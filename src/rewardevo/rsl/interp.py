@@ -1,9 +1,10 @@
 """Bounded evaluator: an AST compiles once into Python source, then runs per
 context.
 
-The generator emits one function per rsl block (and per ``elif`` chain,
-short-circuit operand and ``ctx.get`` default), with expressions as
-three-address temporaries, so nesting never reaches Python's own limits.
+The generator emits one function per rsl block (per eight statements of a
+long block, and per ``elif`` chain, short-circuit operand and ``ctx.get``
+default), with expressions as three-address temporaries, so nesting never
+reaches Python's own limits and each function compiles in little memory.
 Exact ``int``/``float`` operands take inlined fast paths; every other case
 calls the checked helpers below, which own the error messages.
 
@@ -41,6 +42,7 @@ _SCALARS = (bool, int, float)
 _INT_BITS_CAP = 256
 _MAG = 2.0**_INT_BITS_CAP  # ints below it have at most _INT_BITS_CAP bits
 _UNSET = object()  # the value of a variable slot before its first assignment
+_F64 = np.dtype(np.float64)
 
 
 class _State:
@@ -84,6 +86,10 @@ def _guard(v):
             raise RslNumericError("integer magnitude out of range")
         return v
     if isinstance(v, np.ndarray):
+        # A finite sum proves every element finite; only a non-finite (or
+        # huge) sum pays for the element-wise test.
+        if v.dtype is _F64 and -_MAG < np.add.reduce(v, None) < _MAG:
+            return v
         if not np.isfinite(v).all():
             raise RslNumericError("non-finite intermediate value")
         return v
@@ -515,6 +521,8 @@ def _result(total, rec):
     return _guard_scalar(float(total)), out
 
 
+_CHUNK = 8  # statements per generated function
+
 # Operand subtrees of each node, in evaluation order.
 _OPERANDS = {
     "un": lambda n: n[2:3],
@@ -530,7 +538,7 @@ _OPERANDS = {
 _RUNTIME = {
     "__builtins__": {},
     "type": type, "float": float, "int": int, "MAG": _MAG, "U": _UNSET,
-    "ND": np.ndarray, "F64": np.dtype(np.float64), "SUM": np.add.reduce,
+    "ND": np.ndarray, "F64": _F64, "SUM": np.add.reduce,
     "O": _over_budget, "N": _undefined, "M": _missing, "T": _truth, "G": _guard,
     "B": _binop, "C": _compare, "NUM": _num_only, "CALL": _call_builtin,
     "IDX": _index, "VEC": _vector, "RV": _record_value, "SI": _setitem_target,
@@ -593,11 +601,13 @@ class _Generator:
         self.slots: dict = {}
         self.defined: set = set()  # slots assigned on every path to here
         self.defs: list[str] = []
+        self.namespace = dict(_RUNTIME)
 
     def const(self, v) -> str:
         i = self.consts.setdefault((type(v), repr(v)), len(self.values))
         if i == len(self.values):
             self.values.append(v)
+            self.namespace[f"k{i}"] = v
         return f"k{i}"
 
     def known(self, operand: str):
@@ -608,21 +618,32 @@ class _Generator:
         return self.slots.setdefault(name, len(self.slots))
 
     def finish(self, fn: _Fn) -> str:
+        """Compile ``fn`` on its own: the compiler's memory then grows with
+        the largest function, not with the whole program."""
         name = f"f{len(self.defs)}"
         body = "\n".join(fn.lines).replace("\n", "\n    ")
         self.defs.append(f"def {name}(S, V, X):\n    {body}\n")
+        exec(compile(self.defs[-1], "<rsl>", "exec"), self.namespace)
         return name
 
     # -- statements --------------------------------------------------------
 
     def block(self, stmts, extra: int = 0) -> tuple[str, set]:
         """A function running ``stmts``, with ``extra`` steps charged on the
-        first; returns its name and the slots defined after it."""
+        first; returns its name and the slots defined after it.
+
+        A long block runs its statements in chunks of ``_CHUNK``, one
+        function each, to keep every compiled function small.
+        """
         before = self.defined
         self.defined = set(before)
         fn = _Fn()
-        for k, stmt in enumerate(stmts):
-            self.stmt(fn, stmt, extra if k == 0 else 0)
+        for start in range(0, len(stmts), _CHUNK):
+            part = fn if len(stmts) <= _CHUNK else _Fn()
+            for k, stmt in enumerate(stmts[start : start + _CHUNK], start):
+                self.stmt(part, stmt, extra if k == 0 else 0)
+            if part is not fn:
+                fn.lines.append(f"{self.finish(part)}(S, V, X)")
         after, self.defined = self.defined, before
         return self.finish(fn), after
 
@@ -781,14 +802,6 @@ class _Generator:
         emit(f"if {' and '.join(tests) or 'True'}:")
         emit(f"    {t} = {a} {op} {b}")
         emit(f"    if not -MAG < {t} < MAG: {t} = G({t})")
-        if "k" not in (a[0], b[0]):
-            # Equal-shape float arrays: a finite sum proves every element finite.
-            emit(
-                f"elif type({a}) is ND and type({b}) is ND and {a}.dtype is F64 "
-                f"and {b}.dtype is F64 and {a}.shape == {b}.shape:"
-            )
-            emit(f"    {t} = {a} {op} {b}")
-            emit(f"    if not -MAG < SUM({t}, None) < MAG: {t} = G({t})")
         emit(f"else: {t} = B({k}, {a}, {b})")
 
     def call(self, fn: _Fn, name: str, args: list[str]) -> str:
@@ -841,18 +854,15 @@ def compile_program(ast) -> CompiledProgram:
     gen = _Generator()
     *stmts, (_, total, rec) = ast[1]
     fn = _Fn()
-    for stmt in stmts:
-        gen.stmt(fn, stmt, 0)
+    if stmts:
+        body, gen.defined = gen.block(stmts)
+        fn.lines.append(f"{body}(S, V, X)")
     at = fn.begin(0)
     t, r = gen.expr(fn, total), gen.expr(fn, rec)
     fn.lines.append(f"return {t}, {r}")
     fn.charge(at)
     entry = gen.finish(fn)
-    source = "".join(gen.defs)
-    namespace = dict(_RUNTIME)
-    namespace.update((f"k{i}", v) for i, v in enumerate(gen.values))
-    exec(compile(source, "<rsl>", "exec"), namespace)
-    return CompiledProgram(namespace[entry], len(gen.slots), source)
+    return CompiledProgram(gen.namespace[entry], len(gen.slots), "".join(gen.defs))
 
 
 def run_compiled(compiled: CompiledProgram, context: dict, budget: int, max_len: int):
