@@ -43,6 +43,8 @@ _INT_BITS_CAP = 256
 _MAG = 2.0**_INT_BITS_CAP  # ints below it have at most _INT_BITS_CAP bits
 _UNSET = object()  # the value of a variable slot before its first assignment
 _F64 = np.dtype(np.float64)
+# The ufunc reductions behind np.sum/np.min/np.max, without their wrappers.
+_SUM, _MIN, _MAX = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 
 
 class _State:
@@ -88,7 +90,7 @@ def _guard(v):
     if isinstance(v, np.ndarray):
         # A finite sum proves every element finite; only a non-finite (or
         # huge) sum pays for the element-wise test.
-        if v.dtype is _F64 and -_MAG < np.add.reduce(v, None) < _MAG:
+        if v.dtype is _F64 and -_MAG < _SUM(v, None) < _MAG:
             return v
         if not np.isfinite(v).all():
             raise RslNumericError("non-finite intermediate value")
@@ -243,14 +245,14 @@ def _unary_math(args, fn: str, scalar_fn, array_fn):
 
 def _b_minmax(args, fn: str):
     npfn = np.minimum if fn == "min" else np.maximum
-    redfn = np.min if fn == "min" else np.max
+    redfn = _MIN if fn == "min" else _MAX
     if len(args) == 0:
         raise RslValueError(f"{fn}() needs at least 1 argument")
     if len(args) == 1:
         x = args[0]
         if isinstance(x, _SCALARS):
             return float(x)
-        return float(redfn(_vec_arg(x, fn)))
+        return float(redfn(_vec_arg(x, fn), None))
     out = args[0]
     _num_only(out, fn)
     for nxt in args[1:]:
@@ -295,12 +297,14 @@ def _call_builtin(name: str, args: list):
         if len(args) != 1:
             raise RslValueError("sum() takes exactly 1 argument")
         x = _reduce_arg(args[0], "sum")
-        return float(args[0]) if x is None else float(np.sum(x))
+        return float(args[0]) if x is None else float(_SUM(x, None))
     if name == "mean":
         if len(args) != 1:
             raise RslValueError("mean() takes exactly 1 argument")
         x = _reduce_arg(args[0], "mean")
-        return float(args[0]) if x is None else float(np.mean(x))
+        if x is None:
+            return float(args[0])
+        return float(_SUM(x, None)) / x.size if x.dtype is _F64 else float(np.mean(x))
     if name == "std":
         if len(args) != 1:
             raise RslValueError("std() takes exactly 1 argument")
@@ -323,7 +327,7 @@ def _call_builtin(name: str, args: list):
         if len(args) != 1:
             raise RslValueError("ptp() takes exactly 1 argument")
         x = _reduce_arg(args[0], "ptp")
-        return 0.0 if x is None else float(np.max(x) - np.min(x))
+        return 0.0 if x is None else float(_MAX(x, None) - _MIN(x, None))
     if name == "clip":
         if len(args) != 3:
             raise RslValueError("clip(x, lo, hi) takes exactly 3 arguments")
@@ -354,24 +358,26 @@ def _call_builtin(name: str, args: list):
     if name == "norm":
         if len(args) == 2:
             m, axis = _axis_args(args, "norm_axis")
-            return np.sqrt(np.sum(m * m, axis=axis))
+            return np.sqrt(_SUM(m * m, axis))
         if len(args) != 1:
             raise RslValueError("norm() takes 1 argument (or norm_axis(m, axis))")
         x = args[0]
         if isinstance(x, _SCALARS):
             return abs(float(x))
-        return float(np.sqrt(np.sum(_vec_arg(x, "norm") ** 2)))
+        return float(np.sqrt(_SUM(_vec_arg(x, "norm") ** 2, None)))
     if name in ("mean_axis", "std_axis", "min_axis", "max_axis", "norm_axis"):
         m, axis = _axis_args(args, name)
         if name == "mean_axis":
+            if m.dtype is _F64:  # what np.mean computes, without its wrapper
+                return _SUM(m, axis) / m.shape[axis]
             return np.mean(m, axis=axis)
         if name == "std_axis":
             return np.std(m, axis=axis)
         if name == "min_axis":
-            return np.min(m, axis=axis)
+            return _MIN(m, axis)
         if name == "max_axis":
-            return np.max(m, axis=axis)
-        return np.sqrt(np.sum(m * m, axis=axis))
+            return _MAX(m, axis)
+        return np.sqrt(_SUM(m * m, axis))
     if name == "argsort":
         if len(args) != 1:
             raise RslValueError("argsort() takes exactly 1 argument")
@@ -538,7 +544,7 @@ _OPERANDS = {
 _RUNTIME = {
     "__builtins__": {},
     "type": type, "float": float, "int": int, "MAG": _MAG, "U": _UNSET,
-    "ND": np.ndarray, "F64": _F64, "SUM": np.add.reduce,
+    "ND": np.ndarray, "F64": _F64, "SUM": _SUM,
     "O": _over_budget, "N": _undefined, "M": _missing, "T": _truth, "G": _guard,
     "B": _binop, "C": _compare, "NUM": _num_only, "CALL": _call_builtin,
     "IDX": _index, "VEC": _vector, "RV": _record_value, "SI": _setitem_target,
@@ -868,9 +874,9 @@ def compile_program(ast) -> CompiledProgram:
 def run_compiled(compiled: CompiledProgram, context: dict, budget: int, max_len: int):
     """Execute with guards; returns (total, components)."""
     state = _State(budget, max_len)
-    old = np.seterr(all="ignore")
     try:
-        return _result(*compiled.entry(state, [_UNSET] * compiled.slots, context))
+        with np.errstate(all="ignore"):  # half the cost of a seterr pair
+            return _result(*compiled.entry(state, [_UNSET] * compiled.slots, context))
     except RslRuntimeError:
         raise
     except RecursionError:
@@ -879,5 +885,3 @@ def run_compiled(compiled: CompiledProgram, context: dict, budget: int, max_len:
         raise RslValueError("evaluation exceeded memory limits")
     except Exception as exc:  # totality: never leak a raw exception
         raise RslRuntimeError(f"internal evaluation error: {type(exc).__name__}: {exc}")
-    finally:
-        np.seterr(**old)
