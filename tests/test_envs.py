@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import golden_check
 
 from rewardevo import envs, problems, rsl
 from rewardevo.envs import (
@@ -14,6 +15,7 @@ from rewardevo.envs import (
     train_policy,
     validate_context,
 )
+from rewardevo.evolution import format_metadata
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,16 @@ class TestSchemas:
     def test_das_metadata_has_cost_scale_factor(self):
         meta = load_task_metadata("algorithm-selection")
         assert "cost_scale_factor" in meta.c_code
+
+    @pytest.mark.parametrize("task_id", envs.TASK_IDS)
+    def test_metadata_prompt_golden(self, task_id, golden_dir, regen_golden):
+        # The task-metadata block every prompt embeds; its bytes feed the
+        # prompt hashes recorded in exchanges.jsonl.
+        golden_check(
+            golden_dir / f"metadata_{task_id}.txt",
+            format_metadata(load_task_metadata(task_id)),
+            regen_golden,
+        )
 
 
 class TestContextDerivedFields:
