@@ -2,7 +2,7 @@
 
 A MetaTask bundles the problem suite, the low-level optimizer configuration,
 and the meta-policy configuration. Episodes, policy training, the bundled
-expert-anchor rewards, and the offline metadata fixtures all dispatch on the
+expert-anchor rewards, and the algorithm-summary fixtures all dispatch on the
 task id.
 """
 
@@ -61,7 +61,6 @@ class MetaTask:
     suite: ProblemSuite
     optimizer_config: dict
     policy_config: dict
-    metadata_path: Path | None = None
 
     @property
     def schema(self) -> Schema:
@@ -70,12 +69,11 @@ class MetaTask:
 
 @dataclass(frozen=True)
 class Metadata:
+    """A task's algorithm summary; its field dictionary is the task's
+    schema."""
+
     task_id: str
     c_alg: str
-    c_code: dict  # field name -> {"type": ..., "description": ...}
-
-    def covers(self, schema: Schema) -> bool:
-        return schema.names() <= set(self.c_code)
 
 
 def make_task(
@@ -101,7 +99,6 @@ def make_task(
         suite=suite,
         optimizer_config=opt,
         policy_config=pol,
-        metadata_path=FIXTURES_DIR / "metadata" / f"{task_id}.json",
     )
 
 
@@ -229,20 +226,13 @@ def handcrafted_reward(task_or_id) -> rsl.RewardProgram:
 
 
 def load_task_metadata(task_or_id) -> Metadata:
-    """Bundled offline metadata: algorithm summary plus the field dictionary."""
+    """The bundled algorithm summary of the task."""
     task_id = task_or_id if isinstance(task_or_id, str) else task_or_id.task_id
     path = FIXTURES_DIR / "metadata" / f"{task_id}.json"
     if not path.exists():
         raise FileNotFoundError(f"missing metadata fixture for {task_id!r}: {path}")
     raw = json.loads(path.read_text(encoding="utf-8"))
-    meta = Metadata(task_id=raw["task_id"], c_alg=raw["c_alg"], c_code=raw["c_code"])
-    schema = get_schema(task_id)
-    if not meta.covers(schema):
-        missing = schema.names() - set(meta.c_code)
-        raise ValueError(
-            f"metadata fixture for {task_id!r} is missing fields: {sorted(missing)}"
-        )
-    return meta
+    return Metadata(task_id=task_id, c_alg=raw["c_alg"])
 
 
 def discovered_reward(task_or_id) -> rsl.RewardProgram:

@@ -4,7 +4,6 @@ from .config import ConfigError, RunConfig
 from .loop import (
     DiscoveryAborted,
     RunResult,
-    build_metadata,
     initialize_niche,
     knowledge_transfer,
     reproduce,
@@ -34,7 +33,6 @@ __all__ = [
     "RunConfig",
     "DiscoveryAborted",
     "RunResult",
-    "build_metadata",
     "initialize_niche",
     "knowledge_transfer",
     "reproduce",

@@ -185,28 +185,6 @@ class _State:
         return state
 
 
-def build_metadata(task_id: str, provider=None) -> Metadata:
-    """Offline mode returns the bundled fixture. Online mode re-derives the
-    algorithm summary via the LLM; the field dictionary always comes from the
-    fixture, and any coverage gap falls back to the fixture with a warning."""
-    fixture = load_task_metadata(task_id)
-    if provider is None:
-        return fixture
-    summary = reflect_text(
-        provider, "meta_summarize", {"task_description": fixture.c_alg}
-    )
-    if not summary:
-        logger.warning("metadata summarization failed for %s; using fixture", task_id)
-        return fixture
-    meta = Metadata(task_id=task_id, c_alg=summary.strip(), c_code=fixture.c_code)
-    if not meta.covers(get_schema(task_id)):
-        logger.warning(
-            "online metadata for %s does not cover the schema; using fixture", task_id
-        )
-        return fixture
-    return meta
-
-
 def initialize_niche(
     task_id: str,
     metadata: Metadata,
@@ -540,7 +518,7 @@ def run_discovery(
     recorder = llm.RecordingProvider(provider, run.exchanges_path)
     allow_abort = getattr(provider, "tag", "") != "mock"
 
-    metadata = {tid: build_metadata(tid, None) for tid in config.tasks}
+    metadata = {tid: load_task_metadata(tid) for tid in config.tasks}
 
     start_gen = 1
     if resume:

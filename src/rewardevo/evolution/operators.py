@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 
 from .. import llm, rsl
-from ..envs import Metadata, Schema
+from ..envs import Metadata, Schema, get_schema
 from .model import Individual
 
 logger = logging.getLogger(__name__)
@@ -36,10 +36,21 @@ class Candidate:
     attempts: int = 1
 
 
+# How the field dictionary names each FieldSpec kind.
+FIELD_TYPE_LABELS = {
+    "int": "int",
+    "scalar": "float",
+    "vector": "1-D array",
+    "matrix": "2-D array",
+}
+
+
 def format_metadata(meta: Metadata) -> str:
+    """The algorithm summary plus the task schema's field dictionary."""
     lines = [meta.c_alg, "", "Field dictionary (context fields the reward may read):"]
-    for name, entry in sorted(meta.c_code.items()):
-        lines.append(f"- {name} ({entry['type']}): {entry['description']}")
+    for spec in sorted(get_schema(meta.task_id).fields, key=lambda f: f.name):
+        label = FIELD_TYPE_LABELS[spec.kind] + (", optional" if spec.optional else "")
+        lines.append(f"- {spec.name} ({label}): {spec.description}")
     return "\n".join(lines)
 
 

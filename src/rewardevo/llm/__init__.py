@@ -39,7 +39,6 @@ TEMPLATE_TEMPERATURES = {
     "c2": GENERATION_TEMPERATURE,
     "kt_reflect": REFLECTION_TEMPERATURE,
     "kt_execute": GENERATION_TEMPERATURE,
-    "meta_summarize": REFLECTION_TEMPERATURE,
     "m0": GENERATION_TEMPERATURE,
 }
 

@@ -32,7 +32,6 @@ TEMPLATE_IDS = (
     "c2",
     "kt_reflect",
     "kt_execute",
-    "meta_summarize",
     "m0",
 )
 
@@ -40,7 +39,6 @@ TEMPLATE_IDS = (
 # literal text (e.g. the JSON example in kt_reflect).
 _KNOWN_PLACEHOLDERS = {
     "task_metadata",
-    "task_description",
     "prior_count",
     "prior_individuals",
     "difference_rate",

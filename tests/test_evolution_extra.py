@@ -1,5 +1,5 @@
-"""Coverage for metadata building, degenerate operator inputs, single-niche
-runs, archive capping, and the worker-count environment override."""
+"""Coverage for degenerate operator inputs, single-niche runs, archive
+capping, and the worker-count environment override."""
 
 import json
 
@@ -9,40 +9,13 @@ import support
 
 from rewardevo import llm, rsl
 from rewardevo.envs import get_schema, load_task_metadata
-from rewardevo.evolution import (
-    Archive,
-    RunConfig,
-    build_metadata,
-    op_c1,
-    run_discovery,
-)
+from rewardevo.evolution import Archive, RunConfig, op_c1, run_discovery
 from rewardevo.evolution.loop import _State
 from rewardevo.fitness import resolve_worker_count
 from support import MagicEvaluator, ReplayBuilder, reward_response
 
 DE = "de-operator-selection"
 PSO = "pso-parameter-control"
-
-
-class TestBuildMetadata:
-    def test_offline_mode_returns_fixture(self):
-        meta = build_metadata(DE, provider=None)
-        fixture = load_task_metadata(DE)
-        assert meta.c_alg == fixture.c_alg
-        assert meta.c_code == fixture.c_code
-
-    def test_online_mode_uses_llm_summary(self):
-        mock = llm.MockProvider(
-            [{"template_id": "meta_summarize", "response": "A SUMMARY TEXT"}]
-        )
-        meta = build_metadata(DE, provider=mock)
-        assert meta.c_alg == "A SUMMARY TEXT"
-        assert meta.c_code == load_task_metadata(DE).c_code  # schema lock kept
-
-    def test_provider_failure_falls_back_to_fixture(self):
-        mock = llm.MockProvider([])  # exhausted immediately
-        meta = build_metadata(DE, provider=mock)
-        assert meta.c_alg == load_task_metadata(DE).c_alg
 
 
 def test_c1_degenerate_identity_inputs():
