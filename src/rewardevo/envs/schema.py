@@ -46,9 +46,6 @@ class Schema:
     def names(self) -> set[str]:
         return {f.name for f in self.fields}
 
-    def required_names(self) -> set[str]:
-        return {f.name for f in self.fields if not f.optional}
-
     def field(self, name: str) -> FieldSpec:
         for f in self.fields:
             if f.name == name:

@@ -3,9 +3,7 @@ directory (minus the output path itself)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from ..envs.schema import TASK_IDS
 
@@ -94,15 +92,3 @@ class RunConfig:
         cfg = cls(**d)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        return cls.from_dict(raw)

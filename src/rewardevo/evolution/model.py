@@ -111,22 +111,6 @@ class Archive:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_dict(self) -> dict:
-        return {
-            "cap": self.cap,
-            "entries": [e.to_dict() for e in self.entries],
-            "summary_text": self.summary_text,
-            "summary_generation": self.summary_generation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Archive":
-        a = cls(d["cap"])
-        a.entries = [Individual.from_dict(e) for e in d["entries"]]
-        a.summary_text = d["summary_text"]
-        a.summary_generation = int(d["summary_generation"])
-        return a
-
 
 @dataclass
 class TransferRecord:

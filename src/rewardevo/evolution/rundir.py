@@ -59,9 +59,6 @@ class RunDir:
             json.dumps(clean, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
-    def read_config(self) -> dict:
-        return json.loads((self.path / "config.json").read_text(encoding="utf-8"))
-
     @property
     def exchanges_path(self) -> Path:
         return self.path / "exchanges.jsonl"
