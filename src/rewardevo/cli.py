@@ -34,7 +34,6 @@ from .fitness import (
     EvaluationScheduler,
     FitnessCache,
     compute_sne,
-    resolve_worker_count,
 )
 from .fitness.scheduler import SchedulerEvaluator
 from .problems import make_suite
@@ -70,17 +69,51 @@ def _build_provider(provider_cfg: dict | None, replay: str | None):
     return llm.LiveProvider(config)
 
 
-def _build_evaluator(
-    config: RunConfig, budget: EvalBudget, cache_dir: Path | None, workers: int
-):
+def _build_evaluator(config: RunConfig, cache_dir: Path | None):
+    budget = EvalBudget(
+        gamma=config.gamma,
+        fe_budget=config.fe_budget,
+        train_episodes=config.train_episodes,
+    )
     suite = make_suite(config.dimension, config.suite_seed, config.instances_per_family)
     tasks = {
         tid: make_task(tid, suite, max_fes=budget.fe_budget) for tid in config.tasks
     }
     scheduler = EvaluationScheduler(
-        tasks, suite, budget, FitnessCache(cache_dir), worker_count=workers
+        tasks, suite, budget, FitnessCache(cache_dir), worker_count=config.workers
     )
     return SchedulerEvaluator(scheduler, seed=config.seed)
+
+
+def _read_reward(path_arg: str) -> tuple[Path, rsl.RewardProgram]:
+    path = Path(path_arg)
+    if not path.exists():
+        raise CliError(f"reward file not found: {path}", EXIT_CONFIG)
+    try:
+        program, _sidecar = rsl.read_reward_file(path)
+    except rsl.RslParseError as exc:
+        raise CliError(f"reward file does not parse: {exc}", EXIT_CONFIG)
+    return path, program
+
+
+def _profile_evaluator(args, task_id: str):
+    """An uncached evaluator for one task under the --profile budget, with
+    --fe-budget and --train-episodes overriding the profile's values."""
+    base = BUDGET_PROFILES[args.profile]
+    config = RunConfig(
+        tasks=[task_id],
+        dimension=args.dimension,
+        suite_seed=args.suite_seed,
+        seed=args.seed,
+        gamma=base.gamma,
+        fe_budget=args.fe_budget or base.fe_budget,
+        train_episodes=(
+            args.train_episodes
+            if args.train_episodes is not None
+            else base.train_episodes
+        ),
+    )
+    return _build_evaluator(config, None)
 
 
 # -- discover -----------------------------------------------------------------
@@ -109,19 +142,33 @@ def cmd_discover(args) -> int:
     else:
         out_dir = Path(args.out or "run")
 
+    # Settings that decide how candidates are made and scored. A resumed run
+    # keeps its saved values, so these flags may only repeat them.
+    fixed = {}
     if args.seed is not None:
-        raw["seed"] = args.seed
+        fixed["seed"] = args.seed
+    if args.disable_kt:
+        fixed["disable_kt"] = True
+    if args.replace_op:
+        ops = dict(raw.get("replace_ops", {}))
+        for spec in args.replace_op:
+            if "=" not in spec:
+                raise CliError(f"bad --replace-op {spec!r}; expected <op>=m0", EXIT_CONFIG)
+            slot, repl = spec.split("=", 1)
+            ops[slot] = repl
+        fixed["replace_ops"] = ops
+    for key, value in fixed.items():
+        if args.resume and raw.get(key) != value:
+            raise CliError(
+                f"cannot change {key} of a resumed run: saved {raw.get(key)!r}, "
+                f"given {value!r}",
+                EXIT_CONFIG,
+            )
+    raw.update(fixed)
     if args.gmax is not None:
         raw["g_max"] = args.gmax
     if args.workers is not None:
         raw["workers"] = args.workers
-    if args.disable_kt:
-        raw["disable_kt"] = True
-    for spec in args.replace_op or []:
-        if "=" not in spec:
-            raise CliError(f"bad --replace-op {spec!r}; expected <op>=m0", EXIT_CONFIG)
-        slot, repl = spec.split("=", 1)
-        raw.setdefault("replace_ops", {})[slot] = repl
 
     try:
         config = RunConfig.from_dict(raw)
@@ -129,18 +176,12 @@ def cmd_discover(args) -> int:
         raise CliError(f"config validation error: {exc}", EXIT_CONFIG)
 
     provider = _build_provider(provider_cfg, replay)
-    budget = EvalBudget(
-        gamma=config.gamma,
-        fe_budget=config.fe_budget,
-        train_episodes=config.train_episodes,
-    )
-    workers = resolve_worker_count(config.workers)
     if not args.resume and out_dir.exists() and any(out_dir.iterdir()):
         raise CliError(
             f"output directory {out_dir} exists and is not empty", EXIT_CONFIG
         )
     out_dir.mkdir(parents=True, exist_ok=True)
-    evaluator = _build_evaluator(config, budget, out_dir / "fitness-cache", workers)
+    evaluator = _build_evaluator(config, out_dir / "fitness-cache")
 
     def print_generation(generation, rows):
         for row in rows:
@@ -171,13 +212,7 @@ def cmd_discover(args) -> int:
 
 
 def cmd_eval_reward(args) -> int:
-    path = Path(args.reward)
-    if not path.exists():
-        raise CliError(f"reward file not found: {path}", EXIT_CONFIG)
-    try:
-        program, _sidecar = rsl.read_reward_file(path)
-    except rsl.RslParseError as exc:
-        raise CliError(f"reward file does not parse: {exc}", EXIT_CONFIG)
+    _path, program = _read_reward(args.reward)
     task_id = args.task or program.task_hint
     if not task_id:
         raise CliError("no task: pass --task or use a '#! rsl v1 task=' header", EXIT_CONFIG)
@@ -190,29 +225,7 @@ def cmd_eval_reward(args) -> int:
             EXIT_CONFIG,
         )
 
-    base = BUDGET_PROFILES[args.profile]
-    budget = EvalBudget(
-        gamma=base.gamma,
-        fe_budget=args.fe_budget or base.fe_budget,
-        train_episodes=(
-            args.train_episodes
-            if args.train_episodes is not None
-            else base.train_episodes
-        ),
-    )
-    config = RunConfig(
-        tasks=[task_id],
-        dimension=args.dimension,
-        suite_seed=args.suite_seed,
-        seed=args.seed,
-        gamma=budget.gamma,
-        fe_budget=budget.fe_budget,
-        train_episodes=budget.train_episodes,
-    )
-    evaluator = _build_evaluator(
-        config, budget, None, resolve_worker_count(args.workers)
-    )
-    report = evaluator.evaluate(program, task_id)
+    report = _profile_evaluator(args, task_id).evaluate(program, task_id)
     doc = report.to_dict()
     doc["task_id"] = task_id
     doc["reward_hash"] = program.content_hash
@@ -230,13 +243,7 @@ def cmd_eval_reward(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    path = Path(args.reward)
-    if not path.exists():
-        raise CliError(f"reward file not found: {path}", EXIT_CONFIG)
-    try:
-        program, sidecar = rsl.read_reward_file(path)
-    except rsl.RslParseError as exc:
-        raise CliError(f"reward file does not parse: {exc}", EXIT_CONFIG)
+    path, program = _read_reward(args.reward)
     source_task = args.source_task or program.task_hint
     target_task = args.target_task
     for tid in (source_task, target_task):
@@ -275,28 +282,7 @@ def cmd_transfer(args) -> int:
         return EXIT_PROVIDER
     thought, source, adapted, _ = result
 
-    base = BUDGET_PROFILES[args.profile]
-    budget = EvalBudget(
-        gamma=base.gamma,
-        fe_budget=args.fe_budget or base.fe_budget,
-        train_episodes=(
-            args.train_episodes
-            if args.train_episodes is not None
-            else base.train_episodes
-        ),
-    )
-    config = RunConfig(
-        tasks=[target_task],
-        dimension=args.dimension,
-        suite_seed=args.suite_seed,
-        seed=args.seed,
-        gamma=budget.gamma,
-        fe_budget=budget.fe_budget,
-        train_episodes=budget.train_episodes,
-    )
-    evaluator = _build_evaluator(
-        config, budget, None, resolve_worker_count(args.workers)
-    )
+    evaluator = _profile_evaluator(args, target_task)
     adapted_report = evaluator.evaluate(adapted, target_task)
     anchor_report = evaluator.evaluate(handcrafted_reward(target_task), target_task)
 
@@ -448,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite-seed", type=int, default=0)
     p.add_argument("--fe-budget", type=int, default=None)
     p.add_argument("--train-episodes", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_eval_reward)
 
     p = sub.add_parser("transfer", help="zero-shot reward transfer between tasks")
@@ -463,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite-seed", type=int, default=0)
     p.add_argument("--fe-budget", type=int, default=None)
     p.add_argument("--train-episodes", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="output path for the adapted reward")
     p.set_defaults(func=cmd_transfer)
 

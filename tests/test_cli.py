@@ -6,6 +6,7 @@ import support
 
 from rewardevo import cli, envs, rsl
 from rewardevo.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVIDER
+from rewardevo.evolution import RunConfig
 from support import MagicEvaluator, full_run_script, reward_response
 
 PSO = "pso-parameter-control"
@@ -111,6 +112,57 @@ class TestDiscover:
             for f in gen_dir.glob("*.json"):
                 ops.add(json.loads(f.read_text())["operator"])
         assert "m0_simple" in ops and "m1" not in ops
+
+
+class TestResume:
+    """A resumed run keeps the seed, KT switch and operator replacements it
+    was started with; only --gmax extends it."""
+
+    @pytest.fixture()
+    def saved_run(self, tmp_path, small_config):
+        # The flags are checked before any snapshot is read, so the saved
+        # config.json is all a rejected resume gets to see.
+        _, cfg = small_config
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "config.json").write_text(json.dumps(RunConfig.from_dict(cfg).to_dict()))
+        return run
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "2"], ["--disable-kt"], ["--replace-op", "m1=m0"]]
+    )
+    def test_changed_setting_is_config_error(
+        self, tmp_path, small_config, saved_run, flags, capsys
+    ):
+        replay = write_replay(tmp_path, small_config[1])
+        before = (saved_run / "config.json").read_bytes()
+        rc = cli.main(
+            ["discover", "--resume", str(saved_run), "--replay", str(replay), *flags]
+        )
+        assert rc == EXIT_CONFIG
+        assert "cannot change" in capsys.readouterr().err
+        assert (saved_run / "config.json").read_bytes() == before
+
+    def test_repeated_settings_are_accepted(self, tmp_path, small_config):
+        cfg_path, cfg = small_config
+        script = full_run_script(cfg["tasks"], cfg["niche_size"], 2)
+        for _ in range(2 * len(cfg["tasks"]) * cfg["niche_size"]):
+            script.add_reward("m0")
+        replay = tmp_path / "replay.jsonl"
+        script.to_jsonl(replay)
+        out = tmp_path / "run"
+        fixed = ["--seed", "1", "--disable-kt", "--replace-op", "m1=m0"]
+        rc = cli.main(
+            ["discover", "--config", str(cfg_path), "--replay", str(replay),
+             "--out", str(out), *fixed]
+        )
+        assert rc == EXIT_OK
+        rc = cli.main(
+            ["discover", "--resume", str(out), "--replay", str(replay),
+             "--gmax", "2", *fixed]
+        )
+        assert rc == EXIT_OK
+        assert (out / "snapshots" / "gen-2.json").exists()
 
 
 class TestEvalReward:
