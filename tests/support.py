@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 
+from rewardevo.evolution import RunConfig
 from rewardevo.fitness import FitnessReport
 
 TASKS3 = ["de-operator-selection", "pso-parameter-control", "algorithm-selection"]
@@ -82,19 +83,24 @@ def full_run_script(
     niche_size: int,
     g_max: int,
     kt_pathways: int | None = None,
-    init_extra: int = 0,
 ) -> ReplayBuilder:
-    """A fully provisioned script for a discovery run in which every slot
-    succeeds: improving init candidates, all five operators per parent, one
-    KT plan per generation with one transplant per pathway."""
+    """A fully provisioned script for a discovery run: improving init
+    candidates, all five operators per parent, one KT plan per generation with
+    one transplant per pathway.
+
+    As in ``bench/replay.py``, it covers the worst case a real evaluator can
+    produce: the default ``init_attempts`` init responses per niche, for
+    candidates that do not beat the anchor, and one ``m3_reflect`` per
+    generation, generation 1 included, for rejected init candidates that
+    reach the archive."""
     b = ReplayBuilder()
     n_paths = kt_pathways if kt_pathways is not None else len(tasks)
+    init_attempts = RunConfig(tasks=tasks, niche_size=niche_size).init_attempts
     for _t in tasks:
-        for _ in range(niche_size - 1 + init_extra):
+        for _ in range(init_attempts):
             b.add_reward("init")
     for g in range(1, g_max + 1):
-        if g >= 2:
-            b.add("m3_reflect", "```summary\nimprovement terms dominate\n```")
+        b.add("m3_reflect", "```summary\nimprovement terms dominate\n```")
         for _t in tasks:
             for _parent in range(niche_size):
                 b.add("m1_reflect", "weak on ill-conditioned landscapes")
