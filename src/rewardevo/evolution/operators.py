@@ -37,7 +37,7 @@ class Candidate:
 
 
 # How the field dictionary names each FieldSpec kind.
-FIELD_TYPE_LABELS = {
+_TYPE_LABELS = {
     "int": "int",
     "scalar": "float",
     "vector": "1-D array",
@@ -49,7 +49,7 @@ def format_metadata(meta: Metadata) -> str:
     """The algorithm summary plus the task schema's field dictionary."""
     lines = [meta.c_alg, "", "Field dictionary (context fields the reward may read):"]
     for spec in sorted(get_schema(meta.task_id).fields, key=lambda f: f.name):
-        label = FIELD_TYPE_LABELS[spec.kind] + (", optional" if spec.optional else "")
+        label = _TYPE_LABELS[spec.kind] + (", optional" if spec.optional else "")
         lines.append(f"- {spec.name} ({label}): {spec.description}")
     return "\n".join(lines)
 
