@@ -1,3 +1,7 @@
+import copy
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from conftest import golden_check
@@ -5,6 +9,7 @@ from conftest import golden_check
 from rewardevo import envs, problems, rsl
 from rewardevo.envs import (
     InvalidRewardError,
+    discovered_reward,
     get_schema,
     handcrafted_reward,
     load_task_metadata,
@@ -16,6 +21,98 @@ from rewardevo.envs import (
     validate_context,
 )
 from rewardevo.evolution import format_metadata
+
+
+# Per task: (trained policy kind, a reward that reads agent-side fields, one
+# that reads none). Without its agent field the first would score in {0, 1}.
+AGENT_FIELD_READERS = {
+    "de-operator-selection": (
+        "qtable",
+        "return ctx.accepted + 0.1 * ctx.q_span, {}",
+        "if ctx.gbest_improve > 0.0:\n    r = 1.0\nelse:\n    r = 0.0\nreturn r, {}",
+    ),
+    "pso-parameter-control": (
+        "linear",
+        "return 0.1 * ctx.entropy, {}",
+        "if ctx.gbest_improve > 0.0:\n    r = 1.0\nelse:\n    r = 0.0\nreturn r, {}",
+    ),
+    "algorithm-selection": (
+        "qtable",
+        "return 0.1 * ctx.policy_entropy, {}",
+        "if ctx.current_gbest < ctx.last_cost:\n    r = 1.0\nelse:\n    r = 0.0\nreturn r, {}",
+    ),
+}
+
+# Rewards for the episode fingerprints that read every agent-side field of
+# their task; `get` turns a random policy's None fields into the default.
+FINGERPRINT_AGENT_REWARDS = {
+    "de-operator-selection": (
+        'return ctx.accepted + 0.1 * ctx.get("q_span", 0.0)'
+        ' + 0.01 * ctx.get("greedy_action", 0) + 0.01 * ctx.get("q_entropy", 0.0)'
+        ' + ctx.get("recent_reward_mean", 0.0) + ctx.get("recent_reward_max", 0.0)'
+        ' + 0.001 * ctx.get("training_step", 0)'
+        ' + 0.1 * sum(ctx.get("q_values", [0.0])), {}'
+    ),
+    "pso-parameter-control": (
+        'return ctx.get("entropy", 0.0) + 0.001 * ctx.get("log_prob", 0.0)'
+        ' + ctx.get("training_progress", 0.0), {}'
+    ),
+    "algorithm-selection": (
+        'return ctx.get("policy_entropy", 0.0) + ctx.get("value_estimation", 0.0)'
+        ' + 0.1 * ctx.get("log_probability", 0.0) + ctx.get("gamma", 0.0)'
+        ' + ctx.get("learning_rate", 0.0), {}'
+    ),
+}
+# Small budgets keep the grid fast; DAS needs 600 FEs for three decisions.
+FINGERPRINT_FES = {
+    "de-operator-selection": 200,
+    "pso-parameter-control": 600,
+    "algorithm-selection": 600,
+}
+
+
+def _sha256(doc) -> str:
+    text = json.dumps(doc, default=lambda v: v.tolist())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def episode_fingerprints(tasks, suite) -> dict:
+    """sha256 of every episode log, and of the collected contexts in key
+    order, over task x reward x policy x context collection."""
+    out = {}
+    instance = suite.test_instances[0]
+    for task_id in envs.TASK_IDS:
+        task = tasks[task_id]
+        fes = FINGERPRINT_FES[task_id]
+        trained = train_policy(
+            task, handcrafted_reward(task), suite.train_instances[:1], 5, fes, seed=4
+        )
+        rewards = {
+            "none": None,
+            "anchor": handcrafted_reward(task),
+            "discovered": discovered_reward(task),
+            "agent": rsl.parse(FINGERPRINT_AGENT_REWARDS[task_id]),
+        }
+        for reward_name, reward in rewards.items():
+            for mode in ("random", "trained", "learning"):
+                for collect in (False, True):
+                    policy = (
+                        make_policy(task, "random")
+                        if mode == "random"
+                        else copy.deepcopy(trained)
+                    )
+                    ctxs = [] if collect else None
+                    log = run_episode(
+                        task, policy, reward, instance, 9, fes,
+                        learn=(mode == "learning"), collect_contexts=ctxs,
+                    )
+                    key = f"{task_id}/{reward_name}/{mode}/" + (
+                        "collect" if collect else "no-collect"
+                    )
+                    out[key] = {"log": _sha256(log.to_dict())}
+                    if collect:
+                        out[key]["contexts"] = _sha256(ctxs)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -173,26 +270,22 @@ class TestEpisodes:
         b = run_episode(task, make_policy(task, "random"), r2, sphere5, 7, 800)
         assert [s.gbest for s in a.steps] == [s.gbest for s in b.steps]
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "return ctx.accepted + 0.1 * ctx.q_span, {}",
-            "if ctx.gbest_improve > 0.0:\n    r = 1.0\nelse:\n    r = 0.0\nreturn r, {}",
-        ],
-        ids=["reads-agent-field", "reads-no-agent-field"],
-    )
+    @pytest.mark.parametrize("reads", ["reads-agent-field", "reads-no-agent-field"])
+    @pytest.mark.parametrize("task_id", envs.TASK_IDS)
     def test_qtable_log_independent_of_context_collection(
-        self, source, tasks_d5, sphere5
+        self, task_id, reads, tasks_d5, sphere5
     ):
-        """Agent-side fields are built on demand: a learning Q-table DE
-        episode gives the same log with and without collected contexts."""
-        task = tasks_d5["de-operator-selection"]
-        reward = rsl.parse(source)
+        """Agent-side fields are built on demand: a learning episode of the
+        task's trained policy gives the same log with and without collected
+        contexts."""
+        task = tasks_d5[task_id]
+        kind, agent_source, plain_source = AGENT_FIELD_READERS[task_id]
+        reward = rsl.parse(agent_source if reads == "reads-agent-field" else plain_source)
         logs = []
         for ctxs in (None, []):
             log = run_episode(
                 task,
-                make_policy(task, "qtable"),
+                make_policy(task, kind),
                 reward,
                 sphere5,
                 7,
@@ -202,8 +295,18 @@ class TestEpisodes:
             )
             logs.append(log.to_dict())
         assert logs[0] == logs[1]
-        if "q_span" in source:  # the agent field really fed the rewards
+        if reads == "reads-agent-field":  # the agent field really fed the rewards
             assert any(s["reward"] not in (0.0, 1.0) for s in logs[0]["steps"])
+
+    def test_episode_fingerprints_golden(self, tasks_d5, suite_d5, golden_dir, regen_golden):
+        # Pins every env's step path: logs and collected contexts for each
+        # task, reward kind, policy and collection setting.
+        golden_check(
+            golden_dir / "episode_fingerprints.json",
+            json.dumps(episode_fingerprints(tasks_d5, suite_d5), indent=1, sort_keys=True)
+            + "\n",
+            regen_golden,
+        )
 
     def test_invalid_reward_aborts_episode(self, tasks_d5, sphere5):
         task = tasks_d5["de-operator-selection"]
