@@ -11,18 +11,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rsl import DEFAULT_LIMITS
 from .episode import (
     CountingProblem,
     EpisodeLog,
-    StepRecord,
-    emit_reward,
     episode_rng,
     instance_label,
+    record_step,
+    wants_agent_fields,
 )
 from .policies import state_index
 
 DECISION_INTERVAL_GENS = 5  # interval = NP * 5 evaluations
+# Context fields filled from QTablePolicy.agent_fields, in context order.
+AGENT_FIELDS = (
+    "policy_entropy",
+    "value_estimation",
+    "log_probability",
+    "gamma",
+    "learning_rate",
+)
 
 
 class _SharedPop:
@@ -143,7 +150,6 @@ def run_das_episode(
     fe_budget: int,
     learn: bool = False,
     collect_contexts: list | None = None,
-    limits=DEFAULT_LIMITS,
 ) -> EpisodeLog:
     np_size = task.optimizer_config["NP"]
     dim = instance.dimension
@@ -161,8 +167,8 @@ def run_das_episode(
     interval = np_size * DECISION_INTERVAL_GENS
     initial_diversity = max(float(np.mean(np.std(pop, axis=0))), 1e-12)
     last_improve = 0.0
-    step_idx = 0
     log = EpisodeLog(instance_id=instance_label(instance), seed=seed)
+    want_agent = wants_agent_fields(policy, reward, collect_contexts, AGENT_FIELDS)
 
     while problem.remaining >= np_size:
         diversity = float(np.mean(np.std(shared.pop, axis=0)))
@@ -192,31 +198,13 @@ def run_das_episode(
             "population_archive": shared.archive,
             "population_NP": np_size,
             "population_dim": dim,
-            "policy_entropy": None,
-            "value_estimation": None,
-            "log_probability": None,
-            "gamma": None,
-            "learning_rate": None,
+            **dict.fromkeys(AGENT_FIELDS),
         }
-        ctx.update(
-            {
-                k: v
-                for k, v in policy.agent_fields(state, action, learn).items()
-                if k in ctx
-            }
-        )
-        if collect_contexts is not None:
-            collect_contexts.append(
-                {
-                    k: (v.copy() if isinstance(v, np.ndarray) else v)
-                    for k, v in ctx.items()
-                }
-            )
-
-        r = emit_reward(reward, ctx, limits)
-        log.steps.append(StepRecord(step_idx, int(action), r, current_gbest))
-        log.total_reward += r
-        step_idx += 1
+        if want_agent:
+            fields = policy.agent_fields(state, action, learn)
+            for name in AGENT_FIELDS:
+                ctx[name] = fields[name]
+        r = record_step(log, reward, ctx, int(action), current_gbest, collect_contexts)
 
         if learn:
             post_div = float(np.mean(np.std(shared.pop, axis=0)))

@@ -9,8 +9,7 @@ Population statistics for the context are maintained incrementally (one row
 changes per trial) and resynced from scratch every generation. Diversity is
 recomputed only after a resync or an accepted trial; a rejected trial leaves
 the population, and so the diversity, unchanged. The agent-side context
-fields (``AGENT_FIELDS``) are built only when the reward program reads one of
-them or contexts are being collected; otherwise they stay None.
+fields (``AGENT_FIELDS``) are built only under ``wants_agent_fields``.
 """
 
 from __future__ import annotations
@@ -20,14 +19,13 @@ import math
 
 import numpy as np
 
-from ..rsl import DEFAULT_LIMITS
 from .episode import (
     CountingProblem,
     EpisodeLog,
-    StepRecord,
-    emit_reward,
     episode_rng,
     instance_label,
+    record_step,
+    wants_agent_fields,
 )
 from .policies import state_index
 
@@ -114,7 +112,6 @@ def run_de_episode(
     fe_budget: int,
     learn: bool = False,
     collect_contexts: list | None = None,
-    limits=DEFAULT_LIMITS,
 ) -> EpisodeLog:
     np_size = task.optimizer_config["NP"]
     dim = instance.dimension
@@ -138,12 +135,8 @@ def run_de_episode(
     long_ema = 0.0
     last_improve = 0.0
     generation = 0
-    step_idx = 0
     log = EpisodeLog(instance_id=instance_label(instance), seed=seed)
-    reads = reward.referenced_fields if reward is not None else frozenset()
-    want_agent = policy.kind == "qtable" and (
-        collect_contexts is not None or not reads.isdisjoint(AGENT_FIELDS)
-    )
+    want_agent = wants_agent_fields(policy, reward, collect_contexts, AGENT_FIELDS)
 
     while problem.remaining > 0:
         generation += 1
@@ -242,18 +235,7 @@ def run_de_episode(
                 fields = policy.agent_fields(state, action, learn)
                 for name in AGENT_FIELDS:
                     ctx[name] = fields[name]
-            if collect_contexts is not None:
-                collect_contexts.append(
-                    {
-                        k2: (v2.copy() if isinstance(v2, np.ndarray) else v2)
-                        for k2, v2 in ctx.items()
-                    }
-                )
-
-            r = emit_reward(reward, ctx, limits)
-            log.steps.append(StepRecord(step_idx, int(action), r, gbest))
-            log.total_reward += r
-            step_idx += 1
+            r = record_step(log, reward, ctx, int(action), gbest, collect_contexts)
 
             improvement_history.append(gbest_improve)
             if len(improvement_history) > HISTORY_CAP:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import problems
-from ..rsl import DEFAULT_LIMITS, EvalLimits, RewardProgram, RslRuntimeError
+from ..rsl import RewardProgram, RslRuntimeError
 from ..rsl import evaluate as rsl_evaluate
 
 
@@ -77,19 +77,44 @@ class CountingProblem:
         return problems.evaluate_many(self.instance, points) - self.optimum_value
 
 
-def emit_reward(
+def wants_agent_fields(
+    policy, reward: RewardProgram | None, collect_contexts: list | None, fields
+) -> bool:
+    """Whether a step must fill the agent-side context fields: the policy has
+    them (it is not random), and contexts are being collected or the reward
+    reads one of them. Otherwise they stay None."""
+    if policy.kind == "random":
+        return False
+    if collect_contexts is not None:
+        return True
+    return reward is not None and not reward.referenced_fields.isdisjoint(fields)
+
+
+def record_step(
+    log: EpisodeLog,
     reward: RewardProgram | None,
-    context: dict,
-    limits: EvalLimits = DEFAULT_LIMITS,
+    ctx: dict,
+    action,
+    gbest: float,
+    collect_contexts: list | None,
 ) -> float:
-    """Evaluate the reward program on a context; runtime failures abort the
-    episode via InvalidRewardError. A missing program yields 0.0."""
-    if reward is None:
-        return 0.0
-    try:
-        return rsl_evaluate(reward, context, limits).total
-    except RslRuntimeError as exc:
-        raise InvalidRewardError(f"reward program failed: {exc}") from exc
+    """The one place a step's context meets the reward: copy the context
+    when contexts are being collected, score it, and append the step to the
+    log. A missing program scores 0.0; a runtime failure aborts the episode
+    via InvalidRewardError."""
+    if collect_contexts is not None:
+        collect_contexts.append(
+            {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in ctx.items()}
+        )
+    r = 0.0
+    if reward is not None:
+        try:
+            r = rsl_evaluate(reward, ctx).total
+        except RslRuntimeError as exc:
+            raise InvalidRewardError(f"reward program failed: {exc}") from exc
+    log.steps.append(StepRecord(len(log.steps), action, r, gbest))
+    log.total_reward += r
+    return r
 
 
 def episode_rng(instance: problems.ProblemInstance, seed: int) -> np.random.Generator:

@@ -142,9 +142,6 @@ class RandomPolicy:
     def update(self, *args):
         pass
 
-    def agent_fields(self, *args, **kwargs) -> dict:
-        return {}
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "n_actions": self.n_actions, "n_out": self.n_out}
 

@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rsl import DEFAULT_LIMITS
 from .episode import (
     CountingProblem,
     EpisodeLog,
-    StepRecord,
-    emit_reward,
     episode_rng,
     instance_label,
+    record_step,
+    wants_agent_fields,
 )
 from .schema import PSO_GROUPS
 
 PARAMS_PER_GROUP = 7
+# Context fields filled from LinearGainPolicy.agent_fields, in context order.
+AGENT_FIELDS = ("log_prob", "entropy", "training_progress")
 
 
 def _pci(np_size: int) -> np.ndarray:
@@ -54,7 +55,6 @@ def run_pso_episode(
     fe_budget: int,
     learn: bool = False,
     collect_contexts: list | None = None,
-    limits=DEFAULT_LIMITS,
 ) -> EpisodeLog:
     np_size = task.optimizer_config["NP"]
     dim = instance.dimension
@@ -87,11 +87,10 @@ def run_pso_episode(
     no_improve = 0
     per_no_improve = np.zeros(np_size)
     gbest_improve = 0.0
-    iteration = 0
     log = EpisodeLog(instance_id=instance_label(instance), seed=seed)
+    want_agent = wants_agent_fields(policy, reward, collect_contexts, AGENT_FIELDS)
 
     while problem.remaining >= np_size:
-        iteration += 1
         diversity = float(np.mean(np.std(pop, axis=0)))
         feats = _features(
             problem.fes / fe_budget,
@@ -190,27 +189,15 @@ def run_pso_episode(
             "std_cost": float(np.std(costs)),
             "diversity": float(np.mean(np.std(pop, axis=0))),
             "gbest_improve": float(gbest_improve),
-            "log_prob": None,
-            "entropy": None,
-            "training_progress": None,
+            **dict.fromkeys(AGENT_FIELDS),
         }
         for g in range(PSO_GROUPS):
             ctx[f"group_{g}_prev_best"] = group_prev_best[g]
-        if hasattr(policy, "agent_fields") and policy.kind == "linear":
-            ctx.update(
-                {k: v for k, v in policy.agent_fields(feats).items() if k in ctx}
-            )
-        if collect_contexts is not None:
-            collect_contexts.append(
-                {
-                    k: (v.copy() if isinstance(v, np.ndarray) else v)
-                    for k, v in ctx.items()
-                }
-            )
-
-        rew = emit_reward(reward, ctx, limits)
-        log.steps.append(StepRecord(iteration - 1, action.tolist(), rew, gbest_val))
-        log.total_reward += rew
+        if want_agent:
+            fields = policy.agent_fields(feats)
+            for name in AGENT_FIELDS:
+                ctx[name] = fields[name]
+        record_step(log, reward, ctx, action.tolist(), gbest_val, collect_contexts)
         group_prev_best = [float(np.min(costs[sl])) for sl in group_slices]
 
     log.y_initial = y_initial

@@ -118,7 +118,6 @@ def run_episode(
     fe_budget: int,
     learn: bool = False,
     collect_contexts: list | None = None,
-    limits: rsl.EvalLimits = rsl.DEFAULT_LIMITS,
 ) -> EpisodeLog:
     if fe_budget > task.optimizer_config["MaxFEs"]:
         raise ValueError("fe_budget exceeds the task's MaxFEs")
@@ -134,7 +133,6 @@ def run_episode(
         fe_budget,
         learn=learn,
         collect_contexts=collect_contexts,
-        limits=limits,
     )
 
 
