@@ -289,6 +289,13 @@ def _b_corr(args):
 
 
 def _call_builtin(name: str, args: list):
+    try:
+        return _builtin(name, args)
+    except OverflowError as exc:  # an int argument beyond float range
+        raise RslNumericError(f"{name}(): {exc}")
+
+
+def _builtin(name: str, args: list):
     if name == "abs":
         return _unary_math(args, "abs", abs, np.abs)
     if name in ("min", "max"):

@@ -222,6 +222,29 @@ return col[0] + col[1] + row[0] + row[1], {}
             with pytest.raises(RslNumericError):
                 run(src)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "max(BIG, 1)",
+            "min(BIG, 1.0)",
+            "max(BIG)",
+            "clip(BIG, 0.0, 1.0)",
+            "clip(0.5, 0.0, BIG)",
+            "sum(BIG)",
+            "mean(BIG)",
+            "median(BIG)",
+            "norm(BIG)",
+            "quantile([1.0, 2.0], BIG)",
+        ],
+    )
+    def test_int_beyond_float_range_is_numeric_error(self, call):
+        # An integer literal too large for a float is a numeric error named
+        # after the builtin, as tanh() reports it.
+        big = "1" + "0" * 400
+        name = call.split("(")[0]
+        with pytest.raises(RslNumericError, match=rf"^{name}\(\): .*too large"):
+            run(f"return {call.replace('BIG', big)}, {{}}")
+
     def test_type_errors(self):
         with pytest.raises(RslTypeError):
             run("return [1.0, 2.0] and 1.0, {}")
