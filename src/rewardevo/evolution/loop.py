@@ -529,6 +529,9 @@ def run_discovery(
         state = _State.from_dict(config, payload, metadata)
         recorder.fast_forward(payload.get("consumed", {}))
         start_gen = gen + 1
+        # A resume may extend g_max or change workers; record what is in
+        # effect. Unchanged settings rewrite the same bytes.
+        run.write_config(config.to_dict())
     else:
         run.write_config(config.to_dict())
         state = _State(config)

@@ -116,7 +116,8 @@ class TestDiscover:
 
 class TestResume:
     """A resumed run keeps the seed, KT switch and operator replacements it
-    was started with; only --gmax extends it."""
+    was started with; only --gmax extends it, and config.json records the
+    extension."""
 
     @pytest.fixture()
     def saved_run(self, tmp_path, small_config):
@@ -163,6 +164,16 @@ class TestResume:
         )
         assert rc == EXIT_OK
         assert (out / "snapshots" / "gen-2.json").exists()
+        # The extended g_max is recorded; a resume that changes nothing
+        # leaves config.json byte for byte.
+        saved = (out / "config.json").read_bytes()
+        assert json.loads(saved)["g_max"] == 2
+        rc = cli.main(
+            ["discover", "--resume", str(out), "--replay", str(replay),
+             "--gmax", "2", *fixed]
+        )
+        assert rc == EXIT_OK
+        assert (out / "config.json").read_bytes() == saved
 
 
 class TestEvalReward:
