@@ -7,7 +7,6 @@ from .policies import (
     QTablePolicy,
     RandomPolicy,
     policy_digest,
-    policy_from_dict,
     state_index,
 )
 from .schema import (
@@ -43,7 +42,6 @@ __all__ = [
     "QTablePolicy",
     "RandomPolicy",
     "policy_digest",
-    "policy_from_dict",
     "state_index",
     "PSO_GROUPS",
     "PSO_ACTION_SIZE",

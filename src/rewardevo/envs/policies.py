@@ -4,7 +4,7 @@ Discrete tasks use a tabular Q-learner over binned search features; the
 35-parameter continuous task uses a bounded linear policy trained by
 (1+lambda) parameter perturbation. A uniform random policy serves as the
 untrained baseline. All are bit-reproducible given identical seeds and
-inputs, and serializable for digesting and snapshots.
+inputs, and serialize to a dict for their digest.
 """
 
 from __future__ import annotations
@@ -112,15 +112,6 @@ class QTablePolicy:
             "recent_rewards": list(self.recent_rewards),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "QTablePolicy":
-        p = cls(d["n_actions"], d["lr"], d["gamma"], d["epsilon"])
-        p.q = np.asarray(d["q"], dtype=float)
-        p.visits = np.asarray(d["visits"], dtype=np.int64)
-        p.training_step = int(d["training_step"])
-        p.recent_rewards = [float(x) for x in d["recent_rewards"]]
-        return p
-
 
 class RandomPolicy:
     """Uniform random actions; the untrained baseline. Produces no
@@ -144,10 +135,6 @@ class RandomPolicy:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "n_actions": self.n_actions, "n_out": self.n_out}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomPolicy":
-        return cls(d["n_actions"], d["n_out"])
 
 
 N_FEATURES = 5  # bias, progress, improvement signal, diversity ratio, stagnation
@@ -201,26 +188,6 @@ class LinearGainPolicy:
             "training_progress": self.training_progress,
             "return_baseline": self.return_baseline,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearGainPolicy":
-        p = cls(d["n_out"], d["sigma"])
-        p.w = np.asarray(d["w"], dtype=float)
-        p.training_step = int(d["training_step"])
-        p.training_progress = float(d["training_progress"])
-        p.return_baseline = float(d["return_baseline"])
-        return p
-
-
-_POLICY_KINDS = {
-    "qtable": QTablePolicy,
-    "random": RandomPolicy,
-    "linear": LinearGainPolicy,
-}
-
-
-def policy_from_dict(d: dict):
-    return _POLICY_KINDS[d["kind"]].from_dict(d)
 
 
 def policy_digest(policy) -> str:

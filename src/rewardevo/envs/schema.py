@@ -46,12 +46,6 @@ class Schema:
     def names(self) -> set[str]:
         return {f.name for f in self.fields}
 
-    def field(self, name: str) -> FieldSpec:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 def _f(name, kind, desc, optional=False):
     return FieldSpec(name, kind, desc, optional)

@@ -63,10 +63,6 @@ class RunDir:
     def exchanges_path(self) -> Path:
         return self.path / "exchanges.jsonl"
 
-    @property
-    def cache_dir(self) -> Path:
-        return self.path / "fitness-cache"
-
     # -- individuals -----------------------------------------------------------
     def write_individual(self, generation: int, ind: Individual) -> None:
         gen_dir = self.path / "niches" / ind.task_id / f"gen-{generation}"

@@ -15,12 +15,10 @@ from .core import (
     normalized_score,
 )
 from .scheduler import (
-    WORKERS_ENV_VAR,
     EvalJob,
     EvaluationScheduler,
     FitnessCache,
     job_key,
-    resolve_worker_count,
 )
 
 __all__ = [
@@ -36,10 +34,8 @@ __all__ = [
     "evaluate_fitness",
     "invalid_report",
     "normalized_score",
-    "WORKERS_ENV_VAR",
     "EvalJob",
     "EvaluationScheduler",
     "FitnessCache",
     "job_key",
-    "resolve_worker_count",
 ]

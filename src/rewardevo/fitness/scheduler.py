@@ -25,19 +25,6 @@ from .core import EvalBudget, FitnessReport, evaluate_fitness
 
 logger = logging.getLogger(__name__)
 
-WORKERS_ENV_VAR = "REWARDEVO_WORKERS"
-
-
-def resolve_worker_count(requested: int | None = None) -> int:
-    override = os.environ.get(WORKERS_ENV_VAR)
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            logger.warning("ignoring bad %s=%r", WORKERS_ENV_VAR, override)
-    return max(1, requested or 1)
-
-
 def job_key(reward_hash: str, task_id: str, seed: int, budget: EvalBudget) -> str:
     payload = json.dumps(
         {
@@ -116,7 +103,7 @@ class EvaluationScheduler:
         self.suite = suite
         self.budget = budget
         self.cache = cache or FitnessCache()
-        self.worker_count = resolve_worker_count(worker_count)
+        self.worker_count = max(1, worker_count)
 
     def _run_job(self, job: EvalJob) -> FitnessReport:
         task = self.tasks[job.task_id]

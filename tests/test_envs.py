@@ -399,14 +399,6 @@ class TestPolicies:
         # greedy ties break toward the lowest action index
         assert policy.act(0, np.random.default_rng(0), learn=False) == 0
 
-    def test_policy_roundtrip(self, tasks_d5, suite_d5):
-        task = tasks_d5["de-operator-selection"]
-        policy = train_policy(
-            task, handcrafted_reward(task), suite_d5.train_instances[:1], 2, 500, 3
-        )
-        clone = envs.policy_from_dict(policy.to_dict())
-        assert envs.policy_digest(clone) == envs.policy_digest(policy)
-
     def test_invalid_reward_propagates_from_training(self, tasks_d5, sphere5):
         task = tasks_d5["de-operator-selection"]
         bad = rsl.parse("return 1.0 / ctx.gbest_improve, {}")

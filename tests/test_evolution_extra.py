@@ -1,5 +1,5 @@
-"""Coverage for degenerate operator inputs, single-niche runs, archive
-capping, and the worker-count environment override."""
+"""Coverage for degenerate operator inputs, single-niche runs and archive
+capping."""
 
 import json
 
@@ -11,7 +11,6 @@ from rewardevo import llm, rsl
 from rewardevo.envs import get_schema, load_task_metadata
 from rewardevo.evolution import Archive, RunConfig, op_c1, run_discovery
 from rewardevo.evolution.loop import _State
-from rewardevo.fitness import resolve_worker_count
 from support import MagicEvaluator, ReplayBuilder, reward_response
 
 DE = "de-operator-selection"
@@ -68,15 +67,6 @@ def test_archive_cap_fifo():
         made.append(ind.id)
     assert len(archive) == 3
     assert [e.id for e in archive.entries] == made[-3:]
-
-
-def test_worker_env_override(monkeypatch):
-    monkeypatch.setenv("REWARDEVO_WORKERS", "6")
-    assert resolve_worker_count(2) == 6
-    monkeypatch.setenv("REWARDEVO_WORKERS", "junk")
-    assert resolve_worker_count(2) == 2
-    monkeypatch.delenv("REWARDEVO_WORKERS")
-    assert resolve_worker_count(None) == 1
 
 
 def test_cli_resume_continues_run(tmp_path):
