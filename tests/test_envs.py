@@ -23,8 +23,8 @@ from rewardevo.envs import (
 from rewardevo.evolution import format_metadata
 
 
-# Per task: (trained policy kind, a reward that reads agent-side fields, one
-# that reads none). Without its agent field the first would score in {0, 1}.
+# Per task: (policy kind, a reward that reads agent-side fields, one that
+# reads none). The first scores outside {0, 1} only through its agent field.
 AGENT_FIELD_READERS = {
     "de-operator-selection": (
         "qtable",
@@ -276,7 +276,7 @@ class TestEpisodes:
         self, task_id, reads, tasks_d5, sphere5
     ):
         """Agent-side fields are built on demand: a learning episode of the
-        task's trained policy gives the same log with and without collected
+        task's trainable policy gives the same log with and without collected
         contexts."""
         task = tasks_d5[task_id]
         kind, agent_source, plain_source = AGENT_FIELD_READERS[task_id]
