@@ -43,6 +43,29 @@ AGENT_FIELD_READERS = {
     ),
 }
 
+def check_log_independent_of_context_collection(task, reads, inst):
+    """A learning episode of the task's trainable policy gives the same log
+    with and without collected contexts."""
+    kind, agent_source, plain_source = AGENT_FIELD_READERS[task.task_id]
+    reward = rsl.parse(agent_source if reads == "reads-agent-field" else plain_source)
+    logs = []
+    for ctxs in (None, []):
+        log = run_episode(
+            task,
+            make_policy(task, kind),
+            reward,
+            inst,
+            7,
+            800,
+            learn=True,
+            collect_contexts=ctxs,
+        )
+        logs.append(log.to_dict())
+    assert logs[0] == logs[1]
+    if reads == "reads-agent-field":  # the agent field really fed the rewards
+        assert any(s["reward"] not in (0.0, 1.0) for s in logs[0]["steps"])
+
+
 # Rewards for the episode fingerprints that read every agent-side field of
 # their task; `get` turns a random policy's None fields into the default.
 FINGERPRINT_AGENT_REWARDS = {
@@ -271,32 +294,20 @@ class TestEpisodes:
         assert [s.gbest for s in a.steps] == [s.gbest for s in b.steps]
 
     @pytest.mark.parametrize("reads", ["reads-agent-field", "reads-no-agent-field"])
-    @pytest.mark.parametrize("task_id", envs.TASK_IDS)
-    def test_qtable_log_independent_of_context_collection(
+    def test_qtable_log_independent_of_context_collection(self, reads, tasks_d5, sphere5):
+        """Agent-side fields are built on demand: a learning Q-table DE
+        episode gives the same log with and without collected contexts."""
+        check_log_independent_of_context_collection(
+            tasks_d5["de-operator-selection"], reads, sphere5
+        )
+
+    @pytest.mark.parametrize("reads", ["reads-agent-field", "reads-no-agent-field"])
+    @pytest.mark.parametrize("task_id", ["pso-parameter-control", "algorithm-selection"])
+    def test_agent_log_independent_of_context_collection(
         self, task_id, reads, tasks_d5, sphere5
     ):
-        """Agent-side fields are built on demand: a learning episode of the
-        task's trainable policy gives the same log with and without collected
-        contexts."""
-        task = tasks_d5[task_id]
-        kind, agent_source, plain_source = AGENT_FIELD_READERS[task_id]
-        reward = rsl.parse(agent_source if reads == "reads-agent-field" else plain_source)
-        logs = []
-        for ctxs in (None, []):
-            log = run_episode(
-                task,
-                make_policy(task, kind),
-                reward,
-                sphere5,
-                7,
-                800,
-                learn=True,
-                collect_contexts=ctxs,
-            )
-            logs.append(log.to_dict())
-        assert logs[0] == logs[1]
-        if reads == "reads-agent-field":  # the agent field really fed the rewards
-            assert any(s["reward"] not in (0.0, 1.0) for s in logs[0]["steps"])
+        """The same for the PSO and DAS tasks' trainable policies."""
+        check_log_independent_of_context_collection(tasks_d5[task_id], reads, sphere5)
 
     def test_episode_fingerprints_golden(self, tasks_d5, suite_d5, golden_dir, regen_golden):
         # Pins every env's step path: logs and collected contexts for each
