@@ -568,3 +568,71 @@ class TestDiscoveryRuns:
             RunConfig(tasks=["bogus"]).validate()
         with pytest.raises(Exception):
             RunConfig(replace_ops={"kt": "m0"}).validate()
+
+
+def _recorded_prompts(exchanges_path) -> list[str]:
+    """(template_id, prompt_sha256, attempt) of each recorded exchange."""
+    lines = exchanges_path.read_text(encoding="utf-8").splitlines()
+    return [
+        "{template_id} {prompt_sha256} {attempt}".format(**json.loads(line))
+        for line in lines
+    ]
+
+
+def prompt_hashes(tmp_path, monkeypatch) -> dict:
+    """Every prompt sent by two replay discoveries over three tasks (plain,
+    and with m1 replaced by m0) and by one reward transfer whose first
+    adaptation is rejected."""
+    from rewardevo import cli
+
+    tasks, n, g = support.TASKS3, 2, 2
+    out = {}
+    for name, replace_ops in (("plain", {}), ("replace-m1-m0", {"m1": "m0"})):
+        script = full_run_script(tasks, n, g)
+        if replace_ops:
+            for _ in range(g * len(tasks) * n):
+                script.add_reward("m0")
+        cfg = RunConfig(
+            tasks=tasks, niche_size=n, g_max=g, seed=5, replace_ops=replace_ops
+        )
+        run = tmp_path / name
+        run_discovery(cfg, llm.MockProvider(script.script), MagicEvaluator(), run)
+        out[name] = _recorded_prompts(run / "exchanges.jsonl")
+
+    source = tmp_path / "source.rsl"
+    rsl.write_reward_file(
+        source, "if ctx.gbest_val < ctx.pre_gbest:\n    r = 1.0\nelse:\n    r = 0.0\n"
+        "return r, {}", PSO, thought="improvement indicator",
+    )
+    foreign = "return ctx.gbest_val, {}"  # a PSO field, rejected on DAS
+    adapted = "return ctx.last_cost - ctx.current_gbest, {}"
+    script = [
+        {"template_id": "kt_execute", "response": f"x\n```rsl\n{body}\n```"}
+        for body in (foreign, adapted)
+    ]
+    exchanges = tmp_path / "transfer-exchanges.jsonl"
+    monkeypatch.setattr(
+        cli,
+        "_build_provider",
+        lambda cfg, replay: llm.RecordingProvider(llm.MockProvider(script), exchanges),
+    )
+    rc = cli.main(
+        ["transfer", str(source), "--target-task", DAS, "--dimension", "2",
+         "--suite-seed", "3", "--fe-budget", "300", "--train-episodes", "0",
+         "--out", str(tmp_path / "adapted.rsl")]
+    )
+    assert rc == 0
+    out["transfer"] = _recorded_prompts(exchanges)
+    return out
+
+
+def test_prompt_hashes_golden(tmp_path, monkeypatch, golden_dir, regen_golden, capsys):
+    # Pins every prompt the search and the transfer command send, in order.
+    from conftest import golden_check
+
+    golden_check(
+        golden_dir / "prompt_hashes.json",
+        json.dumps(prompt_hashes(tmp_path, monkeypatch), indent=1, sort_keys=True)
+        + "\n",
+        regen_golden,
+    )
