@@ -24,8 +24,7 @@ from .evolution import (
     DiscoveryAborted,
     RunConfig,
     RunDir,
-    format_metadata,
-    request_individual,
+    adapt_reward,
     run_discovery,
 )
 from .fitness import (
@@ -257,30 +256,18 @@ def cmd_transfer(args) -> int:
         provider_cfg = json.loads(Path(args.provider_config).read_text("utf-8"))
     provider = _build_provider(provider_cfg, args.replay)
 
-    target_meta = envs.load_task_metadata(target_task)
-    result = request_individual(
+    result = adapt_reward(
         provider,
-        "kt_execute",
-        {
-            "source_code": program.source_text,
-            "target_metadata": format_metadata(target_meta),
-            "reflection": (
-                f"Zero-shot transfer of a reward evolved for {source_task} "
-                f"to {target_task}."
-            ),
-            "strategy": (
-                "Preserve the reward's logic while mapping every context read "
-                "onto the target task's field dictionary; drop signals with no "
-                "counterpart."
-            ),
-            "language_guide": llm.language_guide(),
-        },
-        get_schema(target_task),
+        program.source_text,
+        envs.load_task_metadata(target_task),
+        f"Zero-shot transfer of a reward evolved for {source_task} to {target_task}.",
+        "Preserve the reward's logic while mapping every context read onto the "
+        "target task's field dictionary; drop signals with no counterpart.",
     )
     if result is None:
         print("transfer failed: no schema-valid adaptation after retries", file=sys.stderr)
         return EXIT_PROVIDER
-    thought, source, adapted, _ = result
+    thought, source, adapted = result
 
     evaluator = _profile_evaluator(args, target_task)
     adapted_report = evaluator.evaluate(adapted, target_task)

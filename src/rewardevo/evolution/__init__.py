@@ -15,6 +15,7 @@ from .operators import (
     NO_HISTORY_MARKER,
     OPERATOR_ORDER,
     Candidate,
+    adapt_reward,
     format_metadata,
     op_c1,
     op_c2,
@@ -46,6 +47,7 @@ __all__ = [
     "NO_HISTORY_MARKER",
     "OPERATOR_ORDER",
     "Candidate",
+    "adapt_reward",
     "format_metadata",
     "op_c1",
     "op_c2",

@@ -23,7 +23,8 @@ from .model import Archive, IdAllocator, Individual, Niche, TransferRecord
 from .operators import (
     OPERATOR_ORDER,
     Candidate,
-    format_metadata,
+    _common_vars,
+    adapt_reward,
     op_c1,
     op_c2,
     op_m0,
@@ -226,17 +227,16 @@ def initialize_niche(
             provider,
             "init",
             {
-                "task_metadata": format_metadata(metadata),
+                **_common_vars(metadata),
                 "prior_count": len(niche.members),
                 "prior_individuals": prior,
                 "difference_rate": difference_rate,
-                "language_guide": llm.language_guide(),
             },
             schema,
         )
         if result is None:
             continue
-        thought, source, program, _ = result
+        thought, source, program = result
         ind = state.new_individual(task_id, thought, source, program, 0, (), "init")
         state.apply_report(ind, evaluator.evaluate(program, task_id))
         if ind.valid and ind.fitness < anchor.fitness:
@@ -289,7 +289,6 @@ def reproduce(
     """One offspring per operator per parent, in fixed order; all evaluated
     as one batch. Returns the offspring (valid and invalid)."""
     config = state.config
-    schema = get_schema(niche.task_id)
     meta = niche.metadata
     test_labels = _test_labels(evaluator)
     niche_best = niche.best_member()
@@ -301,23 +300,19 @@ def reproduce(
         for slot in OPERATOR_ORDER:
             op = state.config.replace_ops.get(slot, slot)
             if op == "m0":
-                cand = op_m0(parent, meta, provider, schema)
+                cand = op_m0(parent, meta, provider)
             elif slot == "m1":
-                cand = op_m1(
-                    parent, meta, test_labels, config.k_failure, provider, schema
-                )
+                cand = op_m1(parent, meta, test_labels, config.k_failure, provider)
             elif slot == "m2":
                 trace = state.trace(parent, config.history_window)
-                cand = op_m2(parent, trace, meta, provider, schema)
+                cand = op_m2(parent, trace, meta, provider)
             elif slot == "m3":
                 summary = summarize_archive(
                     state.archive, generation, meta, provider
                 )
-                cand = op_m3(
-                    parent, summary, len(state.archive), meta, provider, schema
-                )
+                cand = op_m3(parent, summary, len(state.archive), meta, provider)
             elif slot == "c1":
-                cand = op_c1(parent, niche_best, global_best, meta, provider, schema)
+                cand = op_c1(parent, niche_best, global_best, meta, provider)
             else:  # c2
                 if not other_niches:
                     logger.warning("c2 skipped: single niche configured")
@@ -327,7 +322,7 @@ def reproduce(
                         int(state.c2_rng.integers(len(other_niches)))
                     ]
                     partner = state.niches[partner_task].best_member()
-                    cand = op_c2(parent, partner, meta, provider, schema)
+                    cand = op_c2(parent, partner, meta, provider)
             if cand is not None:
                 candidates.append(cand)
 
@@ -416,7 +411,6 @@ def knowledge_transfer(
         source_niche = state.niches[pw.source_task]
         target_niche = state.niches[pw.target_task]
         source_best = source_niche.best_member()
-        target_schema = get_schema(pw.target_task)
         record = TransferRecord(
             generation=generation,
             source_task=pw.source_task,
@@ -425,23 +419,18 @@ def knowledge_transfer(
             strategy=pw.strategy,
             status="failed",
         )
-        result = request_individual(
+        result = adapt_reward(
             provider,
-            "kt_execute",
-            {
-                "source_code": source_best.source,
-                "target_metadata": format_metadata(target_niche.metadata),
-                "reflection": pw.rationale,
-                "strategy": pw.strategy,
-                "language_guide": llm.language_guide(),
-            },
-            target_schema,
+            source_best.source,
+            target_niche.metadata,
+            pw.rationale,
+            pw.strategy,
         )
         if result is None:
             record.failure_reason = "no valid adaptation after retries"
             records.append(record)
             continue
-        thought, source, program, _ = result
+        thought, source, program = result
         transplant = state.new_individual(
             pw.target_task,
             thought,

@@ -10,9 +10,6 @@ from dataclasses import dataclass, field
 from .. import rsl
 from ..envs import Metadata
 
-OPERATOR_TAGS = ("init", "expert", "m1", "m2", "m3", "c1", "c2", "kt", "m0_simple")
-
-
 @dataclass
 class Individual:
     id: str

@@ -2,15 +2,18 @@
 ablation stand-in. Operators produce unevaluated candidates; evaluation and
 selection happen in the generation loop.
 
-Every LLM interaction funnels through request_individual: render, complete,
-parse, syntax-check, schema-validate, with up to max_attempts re-prompts
-carrying a one-line format reminder. A slot that fails every attempt is
-skipped (the offspring pool shrinks for that pairing).
+Every provider call goes through _complete (temperature lookup, complete, a
+provider error logged as a skipped call). Free-text reflections are
+reflect_text; code-bearing replies go through request_individual: parse,
+syntax-check, schema-validate, with up to ``provider.max_attempts`` calls,
+each re-prompt carrying a one-line format reminder. A slot that fails every
+attempt is skipped (the offspring pool shrinks for that pairing).
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 
 from .. import llm, rsl
@@ -33,7 +36,6 @@ class Candidate:
     operator: str
     parent_ids: tuple[str, ...]
     reflection: str = ""
-    attempts: int = 1
 
 
 # How the field dictionary names each FieldSpec kind.
@@ -59,39 +61,8 @@ def format_individual(ind: Individual) -> str:
     return f"Thought: {ind.thought}\nFitness: {fit}\nCode:\n{ind.source}"
 
 
-def request_individual(
-    provider,
-    template_id: str,
-    variables: dict,
-    schema: Schema,
-    max_attempts: int | None = None,
-) -> tuple[str, str, rsl.RewardProgram, int] | None:
-    """(thought, source, program, attempts) or None after exhausting retries."""
-    attempts = max_attempts or getattr(provider, "max_attempts", 3)
-    prompt = llm.render_prompt(template_id, variables)
-    temperature = llm.TEMPLATE_TEMPERATURES.get(template_id)
-    suffix = ""
-    for attempt in range(1, attempts + 1):
-        try:
-            exchange = provider.complete(template_id, prompt + suffix, temperature)
-        except llm.ProviderError as exc:
-            logger.warning("%s: provider error on attempt %d: %s", template_id, attempt, exc)
-            return None  # nothing left to consume / transport dead
-        try:
-            thought, source = llm.parse_individual(exchange.response_text)
-            program = rsl.parse(source)
-            rsl.validate(program, schema.names())
-            return thought, source, program, attempt
-        except (llm.LlmParseError, rsl.RslParseError, rsl.RslValidationError) as exc:
-            logger.debug("%s attempt %d rejected: %s", template_id, attempt, exc)
-            suffix = f"\n\n{llm.FORMAT_REMINDER} Previous attempt failed: {exc}"
-    logger.warning("%s: all %d attempts rejected; slot skipped", template_id, attempts)
-    return None
-
-
-def reflect_text(provider, template_id: str, variables: dict) -> str | None:
-    """Free-text reflection call (no code expected)."""
-    prompt = llm.render_prompt(template_id, variables)
+def _complete(provider, template_id: str, prompt: str) -> str | None:
+    """The reply text, or None when the provider fails."""
     try:
         exchange = provider.complete(
             template_id, prompt, llm.TEMPLATE_TEMPERATURES.get(template_id)
@@ -102,11 +73,80 @@ def reflect_text(provider, template_id: str, variables: dict) -> str | None:
     return exchange.response_text
 
 
+def request_individual(
+    provider, template_id: str, variables: dict, schema: Schema
+) -> tuple[str, str, rsl.RewardProgram] | None:
+    """(thought, source, program) or None after exhausting retries."""
+    prompt = llm.render_prompt(template_id, variables)
+    suffix = ""
+    for attempt in range(1, provider.max_attempts + 1):
+        text = _complete(provider, template_id, prompt + suffix)
+        if text is None:
+            return None  # nothing left to consume / transport dead
+        try:
+            thought, source = llm.parse_individual(text)
+            program = rsl.parse(source)
+            rsl.validate(program, schema.names())
+            return thought, source, program
+        except (llm.LlmParseError, rsl.RslParseError, rsl.RslValidationError) as exc:
+            logger.debug("%s attempt %d rejected: %s", template_id, attempt, exc)
+            suffix = f"\n\n{llm.FORMAT_REMINDER} Previous attempt failed: {exc}"
+    logger.warning(
+        "%s: all %d attempts rejected; slot skipped", template_id, provider.max_attempts
+    )
+    return None
+
+
+def reflect_text(provider, template_id: str, variables: dict) -> str | None:
+    """Free-text reflection call (no code expected)."""
+    return _complete(provider, template_id, llm.render_prompt(template_id, variables))
+
+
 def _common_vars(meta: Metadata) -> dict:
     return {
         "task_metadata": format_metadata(meta),
         "language_guide": llm.language_guide(),
     }
+
+
+def _offspring(
+    provider,
+    template_id: str,
+    meta: Metadata,
+    operator: str,
+    parent_ids: tuple[str, ...],
+    variables: dict,
+    reflection: str = "",
+) -> Candidate | None:
+    """Request one individual for ``meta``'s task with the common prompt
+    variables plus ``variables``, tagged with its operator and parents."""
+    result = request_individual(
+        provider,
+        template_id,
+        {**_common_vars(meta), **variables},
+        get_schema(meta.task_id),
+    )
+    if result is None:
+        return None
+    return Candidate(*result, operator, parent_ids, reflection=reflection)
+
+
+def adapt_reward(
+    provider, source_code: str, target_meta: Metadata, reflection: str, strategy: str
+) -> tuple[str, str, rsl.RewardProgram] | None:
+    """Knowledge-transfer execution: rewrite a reward for the target task."""
+    return request_individual(
+        provider,
+        "kt_execute",
+        {
+            "source_code": source_code,
+            "target_metadata": format_metadata(target_meta),
+            "reflection": reflection,
+            "strategy": strategy,
+            "language_guide": llm.language_guide(),
+        },
+        get_schema(target_meta.task_id),
+    )
 
 
 def op_m1(
@@ -115,7 +155,6 @@ def op_m1(
     test_labels: list[str],
     k_failure: int,
     provider,
-    schema: Schema,
 ) -> Candidate | None:
     """Local reflection: diagnose the k worst test instances, then repair."""
     medians = parent.per_instance_medians or []
@@ -140,18 +179,14 @@ def op_m1(
     )
     if reflection is None:
         return None
-    result = request_individual(
+    return _offspring(
         provider,
         "m1_mutate",
-        {**_common_vars(meta), "code": parent.source, "reflection": reflection},
-        schema,
-    )
-    if result is None:
-        return None
-    thought, source, program, attempts = result
-    return Candidate(
-        thought, source, program, "m1", (parent.id,), reflection=reflection,
-        attempts=attempts,
+        meta,
+        "m1",
+        (parent.id,),
+        {"code": parent.source, "reflection": reflection},
+        reflection=reflection,
     )
 
 
@@ -160,7 +195,6 @@ def op_m2(
     trace: list[Individual],
     meta: Metadata,
     provider,
-    schema: Schema,
 ) -> Candidate | None:
     """History reflection over the ancestor trace (oldest first, <= L)."""
     if trace:
@@ -176,23 +210,20 @@ def op_m2(
         if parent.per_instance_medians
         else "(none)"
     )
-    result = request_individual(
+    return _offspring(
         provider,
         "m2",
+        meta,
+        "m2",
+        (parent.id,),
         {
-            **_common_vars(meta),
             "history_trace": history_trace,
             "fitness": f"{parent.fitness:.6g}",
             "fitness_detailed": detailed,
             "thought": parent.thought,
             "code": parent.source,
         },
-        schema,
     )
-    if result is None:
-        return None
-    thought, source, program, attempts = result
-    return Candidate(thought, source, program, "m2", (parent.id,), attempts=attempts)
 
 
 def summarize_archive(archive, generation: int, meta: Metadata, provider) -> str:
@@ -225,8 +256,6 @@ def summarize_archive(archive, generation: int, meta: Metadata, provider) -> str
 
 
 def _extract_summary(response: str) -> str:
-    import re
-
     m = re.search(r"```[ \t]*summary[ \t]*\r?\n(.*?)```", response, re.DOTALL)
     if m:
         return m.group(1).strip()
@@ -239,25 +268,21 @@ def op_m3(
     explored_count: int,
     meta: Metadata,
     provider,
-    schema: Schema,
 ) -> Candidate | None:
     """Global reflection: refine the parent using the archive summary."""
-    result = request_individual(
+    return _offspring(
         provider,
         "m3_mutate",
+        meta,
+        "m3",
+        (parent.id,),
         {
-            **_common_vars(meta),
             "explored_count": explored_count,
             "summary": summary,
             "thought": parent.thought,
             "code": parent.source,
         },
-        schema,
     )
-    if result is None:
-        return None
-    thought, source, program, attempts = result
-    return Candidate(thought, source, program, "m3", (parent.id,), attempts=attempts)
 
 
 def op_c1(
@@ -266,14 +291,15 @@ def op_c1(
     global_best: Individual,
     meta: Metadata,
     provider,
-    schema: Schema,
 ) -> Candidate | None:
     """Exploitative crossover with the niche best and the global best."""
-    result = request_individual(
+    return _offspring(
         provider,
         "c1",
+        meta,
+        "c1",
+        (parent.id, niche_best.id, global_best.id),
         {
-            **_common_vars(meta),
             "thought": parent.thought,
             "code": parent.source,
             "niche_best_thought": niche_best.thought,
@@ -281,18 +307,6 @@ def op_c1(
             "global_best_thought": global_best.thought,
             "global_best_code": global_best.source,
         },
-        schema,
-    )
-    if result is None:
-        return None
-    thought, source, program, attempts = result
-    return Candidate(
-        thought,
-        source,
-        program,
-        "c1",
-        (parent.id, niche_best.id, global_best.id),
-        attempts=attempts,
     )
 
 
@@ -301,43 +315,31 @@ def op_c2(
     partner: Individual,
     meta: Metadata,
     provider,
-    schema: Schema,
 ) -> Candidate | None:
     """Exploratory crossover with an elite from a random distinct niche."""
-    result = request_individual(
+    return _offspring(
         provider,
         "c2",
+        meta,
+        "c2",
+        (parent.id, partner.id),
         {
-            **_common_vars(meta),
             "reward_count": 2,
             "thought": parent.thought,
             "code": parent.source,
             "partner_thought": partner.thought,
             "partner_code": partner.source,
         },
-        schema,
-    )
-    if result is None:
-        return None
-    thought, source, program, attempts = result
-    return Candidate(
-        thought, source, program, "c2", (parent.id, partner.id), attempts=attempts
     )
 
 
-def op_m0(
-    parent: Individual, meta: Metadata, provider, schema: Schema
-) -> Candidate | None:
+def op_m0(parent: Individual, meta: Metadata, provider) -> Candidate | None:
     """Iso-budget ablation stand-in: a minimal modify-this-reward prompt."""
-    result = request_individual(
+    return _offspring(
         provider,
         "m0",
-        {**_common_vars(meta), "thought": parent.thought, "code": parent.source},
-        schema,
-    )
-    if result is None:
-        return None
-    thought, source, program, attempts = result
-    return Candidate(
-        thought, source, program, "m0_simple", (parent.id,), attempts=attempts
+        meta,
+        "m0_simple",
+        (parent.id,),
+        {"thought": parent.thought, "code": parent.source},
     )

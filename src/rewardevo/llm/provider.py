@@ -184,22 +184,23 @@ class MockProvider:
     structured error.
     """
 
-    def __init__(self, script: list[dict], max_attempts: int = 3):
+    max_attempts = 3
+
+    def __init__(self, script: list[dict]):
         self.queues: dict[str, deque] = defaultdict(deque)
         for entry in script:
             self.queues[entry["template_id"]].append(entry["response"])
         self.consumed: dict[str, int] = defaultdict(int)
-        self.max_attempts = max_attempts
         self._lock = threading.Lock()
 
     @classmethod
-    def from_jsonl(cls, path: str | Path, max_attempts: int = 3) -> "MockProvider":
+    def from_jsonl(cls, path: str | Path) -> "MockProvider":
         script = []
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if line:
                 script.append(json.loads(line))
-        return cls(script, max_attempts=max_attempts)
+        return cls(script)
 
     @property
     def tag(self) -> str:

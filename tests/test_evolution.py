@@ -55,12 +55,9 @@ class TestRequestIndividual:
                 {"template_id": "m2", "response": reward_response(0.1)},
             ]
         )
-        result = request_individual(
-            mock, "m2", _m2_vars(), get_schema(DE), max_attempts=3
-        )
+        result = request_individual(mock, "m2", _m2_vars(), get_schema(DE))
         assert result is not None
-        _, _, _, attempts = result
-        assert attempts == 2
+        assert mock.consumed["m2"] == 2
 
     def test_foreign_field_triggers_reprompt(self):
         bad = "idea\n```rsl\nreturn ctx.gbest_val, {}\n```"  # PSO field on DE schema
@@ -71,7 +68,7 @@ class TestRequestIndividual:
             ]
         )
         result = request_individual(mock, "m2", _m2_vars(), get_schema(DE))
-        assert result is not None and result[3] == 2
+        assert result is not None and mock.consumed["m2"] == 2
 
     def test_too_deeply_nested_response_triggers_reprompt(self):
         lines = ["    " * k + "if 1 > 0:" for k in range(100)]
@@ -83,7 +80,7 @@ class TestRequestIndividual:
             ]
         )
         result = request_individual(mock, "m2", _m2_vars(), get_schema(DE))
-        assert result is not None and result[3] == 2
+        assert result is not None and mock.consumed["m2"] == 2
 
     def test_exhausted_returns_none(self):
         mock = llm.MockProvider(
@@ -169,9 +166,7 @@ class TestOperators:
         from rewardevo.problems import DISPLAY_NAMES, TEST_FAMILIES
 
         labels = [DISPLAY_NAMES[f] for f in TEST_FAMILIES]
-        cand = op_m1(
-            parent, load_task_metadata(DE), labels, 3, Spy(), get_schema(DE)
-        )
+        cand = op_m1(parent, load_task_metadata(DE), labels, 3, Spy())
         assert cand is not None and cand.operator == "m1"
         prompt = captured["m1_reflect"]
         for idx in (4, 7, 11):
@@ -192,7 +187,7 @@ class TestOperators:
                 return llm.ChatExchange(template_id, prompt, body, "spy", 0, 1)
 
         labels = [f"inst-{i:02d}" for i in range(16)]
-        op_m1(parent, load_task_metadata(DE), labels, 3, Spy(), get_schema(DE))
+        op_m1(parent, load_task_metadata(DE), labels, 3, Spy())
         prompt = captured["m1_reflect"]
         assert "inst-00" in prompt and "inst-01" in prompt and "inst-02" in prompt
         assert "inst-03" not in prompt
@@ -210,7 +205,7 @@ class TestOperators:
                     template_id, prompt, reward_response(0.1), "spy", 0, 1
                 )
 
-        cand = op_m2(parent, [], load_task_metadata(DE), Spy(), get_schema(DE))
+        cand = op_m2(parent, [], load_task_metadata(DE), Spy())
         assert cand is not None
         assert NO_HISTORY_MARKER in captured["m2"]
 
@@ -268,8 +263,8 @@ class TestOperators:
                 {"template_id": "c2", "response": reward_response(0.1)},
             ]
         )
-        cand = op_c2(parent, partner, load_task_metadata(DE), mock, get_schema(DE))
-        assert cand is not None and cand.attempts == 2
+        cand = op_c2(parent, partner, load_task_metadata(DE), mock)
+        assert cand is not None and mock.consumed["c2"] == 2
         assert cand.parent_ids == (parent.id, partner.id)
 
 

@@ -8,7 +8,7 @@ import pytest
 import support
 
 from rewardevo import llm, rsl
-from rewardevo.envs import get_schema, load_task_metadata
+from rewardevo.envs import load_task_metadata
 from rewardevo.evolution import Archive, RunConfig, op_c1, run_discovery
 from rewardevo.evolution.loop import _State
 from support import MagicEvaluator, ReplayBuilder, reward_response
@@ -25,7 +25,7 @@ def test_c1_degenerate_identity_inputs():
     ind.fitness = 0.4
     ind.status = "alive"
     mock = llm.MockProvider([{"template_id": "c1", "response": reward_response(0.1)}])
-    cand = op_c1(ind, ind, ind, load_task_metadata(DE), mock, get_schema(DE))
+    cand = op_c1(ind, ind, ind, load_task_metadata(DE), mock)
     assert cand is not None
     assert cand.parent_ids == (ind.id, ind.id, ind.id)
 
