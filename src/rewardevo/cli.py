@@ -49,6 +49,20 @@ class CliError(Exception):
         self.code = code
 
 
+def _read_json(path: Path, what: str) -> dict:
+    """A JSON object read from a file; a missing or malformed file is a
+    config error."""
+    if not path.is_file():
+        raise CliError(f"{what} not found: {path}", EXIT_CONFIG)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise CliError(f"{what} is not valid JSON: {exc}", EXIT_CONFIG)
+    if not isinstance(doc, dict):
+        raise CliError(f"{what} is not a JSON object: {path}", EXIT_CONFIG)
+    return doc
+
+
 def _build_provider(provider_cfg: dict | None, replay: str | None):
     if replay:
         path = Path(replay)
@@ -119,15 +133,7 @@ def _profile_evaluator(args, task_id: str):
 
 
 def cmd_discover(args) -> int:
-    raw: dict = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise CliError(f"config not found: {path}", EXIT_CONFIG)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config is not valid JSON: {exc}", EXIT_CONFIG)
+    raw = _read_json(Path(args.config), "config") if args.config else {}
     provider_cfg = raw.pop("provider", None)
     replay = args.replay or raw.pop("replay", None)
 
@@ -135,7 +141,7 @@ def cmd_discover(args) -> int:
         run_dir = Path(args.resume)
         if not (run_dir / "config.json").exists():
             raise CliError(f"no run to resume at {run_dir}", EXIT_CONFIG)
-        raw = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+        raw = _read_json(run_dir / "config.json", "saved config")
         provider_cfg = raw.pop("provider", None) or provider_cfg
         out_dir = run_dir
     else:
@@ -253,7 +259,7 @@ def cmd_transfer(args) -> int:
 
     provider_cfg = None
     if args.provider_config:
-        provider_cfg = json.loads(Path(args.provider_config).read_text("utf-8"))
+        provider_cfg = _read_json(Path(args.provider_config), "provider config")
     provider = _build_provider(provider_cfg, args.replay)
 
     result = adapt_reward(

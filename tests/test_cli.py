@@ -144,6 +144,16 @@ class TestResume:
         assert "cannot change" in capsys.readouterr().err
         assert (saved_run / "config.json").read_bytes() == before
 
+    @pytest.mark.parametrize("content", ["{not json", "[]"], ids=["not-json", "not-object"])
+    def test_malformed_saved_config_is_config_error(
+        self, tmp_path, small_config, saved_run, content, capsys
+    ):
+        (saved_run / "config.json").write_text(content)
+        replay = write_replay(tmp_path, small_config[1])
+        rc = cli.main(["discover", "--resume", str(saved_run), "--replay", str(replay)])
+        assert rc == EXIT_CONFIG
+        assert "saved config is not" in capsys.readouterr().err
+
     def test_repeated_settings_are_accepted(self, tmp_path, small_config):
         cfg_path, cfg = small_config
         script = full_run_script(cfg["tasks"], cfg["niche_size"], 2)
@@ -277,6 +287,19 @@ class TestTransfer:
         )
         assert rc == EXIT_PROVIDER
         assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
+    def test_bad_provider_config_is_config_error(self, tmp_path, content, capsys):
+        src = self._source_file(tmp_path)
+        provider_cfg = tmp_path / "provider.json"
+        if content is not None:
+            provider_cfg.write_text(content)
+        rc = cli.main(
+            ["transfer", str(src), "--target-task", DAS,
+             "--provider-config", str(provider_cfg)]
+        )
+        assert rc == EXIT_CONFIG
+        assert "provider config" in capsys.readouterr().err
 
     def test_same_task_rejected(self, tmp_path):
         src = self._source_file(tmp_path)
