@@ -22,7 +22,7 @@ from .episode import (
 from .policies import state_index
 
 DECISION_INTERVAL_GENS = 5  # interval = NP * 5 evaluations
-# Context fields filled from QTablePolicy.agent_fields, in context order.
+# Context fields filled from QTablePolicy.das_fields, in context order.
 AGENT_FIELDS = (
     "policy_entropy",
     "value_estimation",
@@ -165,13 +165,13 @@ def run_das_episode(
 
     variants = [_RandDE(), _BestJDE(np_size, rng), _CurPBestDE()]
     interval = np_size * DECISION_INTERVAL_GENS
-    initial_diversity = max(float(np.mean(np.std(pop, axis=0))), 1e-12)
+    diversity = float(np.mean(np.std(pop, axis=0)))
+    initial_diversity = max(diversity, 1e-12)
     last_improve = 0.0
     log = EpisodeLog(instance_id=instance_label(instance), seed=seed)
     want_agent = wants_agent_fields(policy, reward, collect_contexts, AGENT_FIELDS)
 
     while problem.remaining >= np_size:
-        diversity = float(np.mean(np.std(shared.pop, axis=0)))
         state = state_index(
             problem.fes / fe_budget, last_improve > 0, diversity / initial_diversity
         )
@@ -184,6 +184,7 @@ def run_das_episode(
             consumed += np_size
         current_gbest = shared.gbest
         last_improve = last_cost - current_gbest
+        diversity = float(np.mean(np.std(shared.pop, axis=0)))
 
         ctx = {
             "last_cost": last_cost,
@@ -201,15 +202,12 @@ def run_das_episode(
             **dict.fromkeys(AGENT_FIELDS),
         }
         if want_agent:
-            fields = policy.agent_fields(state, action, learn)
-            for name in AGENT_FIELDS:
-                ctx[name] = fields[name]
+            ctx.update(policy.das_fields(state, action, learn))
         r = record_step(log, reward, ctx, int(action), current_gbest, collect_contexts)
 
         if learn:
-            post_div = float(np.mean(np.std(shared.pop, axis=0)))
             next_state = state_index(
-                problem.fes / fe_budget, last_improve > 0, post_div / initial_diversity
+                problem.fes / fe_budget, last_improve > 0, diversity / initial_diversity
             )
             policy.update(state, action, r, next_state)
 

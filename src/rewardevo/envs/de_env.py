@@ -31,7 +31,7 @@ from .policies import state_index
 
 SHADE_MEMORY = 6
 HISTORY_CAP = 50
-# Context fields filled from QTablePolicy.agent_fields, in context order.
+# Context fields filled from QTablePolicy.de_fields, in context order.
 AGENT_FIELDS = (
     "q_values",
     "greedy_action",
@@ -232,9 +232,7 @@ def run_de_episode(
                 "long_ema_improvement": long_ema,
             }
             if want_agent:
-                fields = policy.agent_fields(state, action, learn)
-                for name in AGENT_FIELDS:
-                    ctx[name] = fields[name]
+                ctx.update(policy.de_fields(state))
             r = record_step(log, reward, ctx, int(action), gbest, collect_contexts)
 
             improvement_history.append(gbest_improve)

@@ -71,24 +71,30 @@ class QTablePolicy:
         if len(self.recent_rewards) > RECENT_WINDOW:
             del self.recent_rewards[0]
 
-    def agent_fields(self, state: int, action: int, learn: bool) -> dict:
+    def de_fields(self, state: int) -> dict:
+        """The DE task's agent-side context fields (``de_env.AGENT_FIELDS``)."""
         row = self.q[state]
-        span = float(np.max(row) - np.min(row))
-        shifted = row - np.max(row)
-        probs = np.exp(shifted)
+        probs = np.exp(row - np.max(row))
         probs = probs / probs.sum()
-        greedy = int(np.argmax(row))
-        eps = self.epsilon if learn else 0.0
-        p_taken = eps / self.n_actions + (1.0 - eps) * (1.0 if action == greedy else 0.0)
         recent = self.recent_rewards
         return {
             "q_values": row.copy(),
-            "greedy_action": greedy,
-            "q_span": span,
+            "greedy_action": int(np.argmax(row)),
+            "q_span": float(np.max(row) - np.min(row)),
             "q_entropy": _entropy(probs),
             "recent_reward_mean": float(np.mean(recent)) if recent else 0.0,
             "recent_reward_max": float(np.max(recent)) if recent else 0.0,
             "training_step": self.training_step,
+        }
+
+    def das_fields(self, state: int, action: int, learn: bool) -> dict:
+        """The algorithm-selection task's agent-side context fields
+        (``das_env.AGENT_FIELDS``)."""
+        row = self.q[state]
+        greedy = int(np.argmax(row))
+        eps = self.epsilon if learn else 0.0
+        p_taken = eps / self.n_actions + (1.0 - eps) * (1.0 if action == greedy else 0.0)
+        return {
             "policy_entropy": _entropy(
                 np.full(self.n_actions, eps / self.n_actions)
                 + (1.0 - eps) * (np.arange(self.n_actions) == greedy)
@@ -175,7 +181,6 @@ class LinearGainPolicy:
             "log_prob": log_prob,
             "entropy": entropy,
             "training_progress": float(self.training_progress),
-            "training_step": self.training_step,
         }
 
     def to_dict(self) -> dict:

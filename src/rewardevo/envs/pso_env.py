@@ -82,7 +82,8 @@ def run_pso_episode(
     ]
     group_prev_best = [float(np.min(costs[sl])) for sl in group_slices]
 
-    initial_diversity = max(float(np.mean(np.std(pop, axis=0))), 1e-12)
+    diversity = float(np.mean(np.std(pop, axis=0)))
+    initial_diversity = max(diversity, 1e-12)
     scale0 = max(abs(gbest_val), 1.0)
     no_improve = 0
     per_no_improve = np.zeros(np_size)
@@ -91,7 +92,6 @@ def run_pso_episode(
     want_agent = wants_agent_fields(policy, reward, collect_contexts, AGENT_FIELDS)
 
     while problem.remaining >= np_size:
-        diversity = float(np.mean(np.std(pop, axis=0)))
         feats = _features(
             problem.fes / fe_budget,
             gbest_improve,
@@ -163,6 +163,7 @@ def run_pso_episode(
         else:
             no_improve += 1
         gbest_improve = pre_gbest - gbest_val
+        diversity = float(np.mean(np.std(pop, axis=0)))
 
         ctx = {
             "gbest_val": gbest_val,
@@ -187,16 +188,14 @@ def run_pso_episode(
             "mean_cost": float(np.mean(costs)),
             "median_cost": float(np.median(costs)),
             "std_cost": float(np.std(costs)),
-            "diversity": float(np.mean(np.std(pop, axis=0))),
+            "diversity": diversity,
             "gbest_improve": float(gbest_improve),
             **dict.fromkeys(AGENT_FIELDS),
         }
         for g in range(PSO_GROUPS):
             ctx[f"group_{g}_prev_best"] = group_prev_best[g]
         if want_agent:
-            fields = policy.agent_fields(feats)
-            for name in AGENT_FIELDS:
-                ctx[name] = fields[name]
+            ctx.update(policy.agent_fields(feats))
         record_step(log, reward, ctx, action.tolist(), gbest_val, collect_contexts)
         group_prev_best = [float(np.min(costs[sl])) for sl in group_slices]
 

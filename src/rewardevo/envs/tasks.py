@@ -160,11 +160,10 @@ def train_policy(
     episodes: int,
     fe_budget: int,
     seed: int,
-    policy_kind: str | None = None,
 ):
     """Train a fresh policy with the candidate reward. Deterministic given
     the seed; an invalid reward propagates as InvalidRewardError."""
-    policy = make_policy(task, policy_kind)
+    policy = make_policy(task)
     if policy.kind == "random" or episodes <= 0 or not train_instances:
         return policy
     n = len(train_instances)
