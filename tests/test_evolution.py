@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 import support
+from conftest import golden_check
 
-from rewardevo import llm, rsl
+from rewardevo import cli, llm, rsl
 from rewardevo.envs import get_schema, load_task_metadata
 from rewardevo.evolution import (
     NO_ARCHIVE_MARKER,
@@ -578,8 +579,6 @@ def prompt_hashes(tmp_path, monkeypatch) -> dict:
     """Every prompt sent by two replay discoveries over three tasks (plain,
     and with m1 replaced by m0) and by one reward transfer whose first
     adaptation is rejected."""
-    from rewardevo import cli
-
     tasks, n, g = support.TASKS3, 2, 2
     out = {}
     for name, replace_ops in (("plain", {}), ("replace-m1-m0", {"m1": "m0"})):
@@ -621,10 +620,8 @@ def prompt_hashes(tmp_path, monkeypatch) -> dict:
     return out
 
 
-def test_prompt_hashes_golden(tmp_path, monkeypatch, golden_dir, regen_golden, capsys):
+def test_prompt_hashes_golden(tmp_path, monkeypatch, golden_dir, regen_golden):
     # Pins every prompt the search and the transfer command send, in order.
-    from conftest import golden_check
-
     golden_check(
         golden_dir / "prompt_hashes.json",
         json.dumps(prompt_hashes(tmp_path, monkeypatch), indent=1, sort_keys=True)
