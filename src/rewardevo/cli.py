@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import envs, llm, rsl
-from .envs import get_schema, handcrafted_reward, make_task
+from .envs import get_schema, handcrafted_reward
 from .evolution import (
     ConfigError,
     DiscoveryAborted,
@@ -34,7 +34,6 @@ from .fitness import (
     FitnessCache,
     compute_sne,
 )
-from .fitness.scheduler import SchedulerEvaluator
 from .problems import make_suite
 
 EXIT_OK = 0
@@ -68,7 +67,11 @@ def _build_provider(provider_cfg: dict | None, replay: str | None):
         path = Path(replay)
         if not path.exists():
             raise CliError(f"replay script not found: {path}", EXIT_CONFIG)
-        return llm.MockProvider.from_jsonl(path)
+        try:
+            return llm.MockProvider.from_jsonl(path)
+        except (ValueError, KeyError, TypeError) as exc:
+            # Not JSON, not UTF-8, or an entry without template_id/response.
+            raise CliError(f"replay script {path} is malformed: {exc!r}", EXIT_CONFIG)
     if not provider_cfg:
         raise CliError(
             "no provider configured: pass --replay or a config with a "
@@ -82,20 +85,16 @@ def _build_provider(provider_cfg: dict | None, replay: str | None):
     return llm.LiveProvider(config)
 
 
-def _build_evaluator(config: RunConfig, cache_dir: Path | None):
+def _build_evaluator(config: RunConfig, cache_dir: Path) -> EvaluationScheduler:
     budget = EvalBudget(
         gamma=config.gamma,
         fe_budget=config.fe_budget,
         train_episodes=config.train_episodes,
     )
     suite = make_suite(config.dimension, config.suite_seed, config.instances_per_family)
-    tasks = {
-        tid: make_task(tid, suite, max_fes=budget.fe_budget) for tid in config.tasks
-    }
-    scheduler = EvaluationScheduler(
-        tasks, suite, budget, FitnessCache(cache_dir), worker_count=config.workers
+    return EvaluationScheduler(
+        suite, budget, config.seed, FitnessCache(cache_dir), config.workers
     )
-    return SchedulerEvaluator(scheduler, seed=config.seed)
 
 
 def _read_reward(path_arg: str) -> tuple[Path, rsl.RewardProgram]:
@@ -109,15 +108,11 @@ def _read_reward(path_arg: str) -> tuple[Path, rsl.RewardProgram]:
     return path, program
 
 
-def _profile_evaluator(args, task_id: str):
-    """An uncached evaluator for one task under the --profile budget, with
-    --fe-budget and --train-episodes overriding the profile's values."""
+def _profile_evaluator(args) -> EvaluationScheduler:
+    """An uncached evaluator under the --profile budget, with --fe-budget and
+    --train-episodes overriding the profile's values."""
     base = BUDGET_PROFILES[args.profile]
-    config = RunConfig(
-        tasks=[task_id],
-        dimension=args.dimension,
-        suite_seed=args.suite_seed,
-        seed=args.seed,
+    budget = EvalBudget(
         gamma=base.gamma,
         fe_budget=args.fe_budget or base.fe_budget,
         train_episodes=(
@@ -126,7 +121,8 @@ def _profile_evaluator(args, task_id: str):
             else base.train_episodes
         ),
     )
-    return _build_evaluator(config, None)
+    suite = make_suite(args.dimension, args.suite_seed)
+    return EvaluationScheduler(suite, budget, args.seed)
 
 
 # -- discover -----------------------------------------------------------------
@@ -230,7 +226,7 @@ def cmd_eval_reward(args) -> int:
             EXIT_CONFIG,
         )
 
-    report = _profile_evaluator(args, task_id).evaluate(program, task_id)
+    report = _profile_evaluator(args).run([(program, task_id)])[0]
     doc = report.to_dict()
     doc["task_id"] = task_id
     doc["reward_hash"] = program.content_hash
@@ -275,9 +271,9 @@ def cmd_transfer(args) -> int:
         return EXIT_PROVIDER
     thought, source, adapted = result
 
-    evaluator = _profile_evaluator(args, target_task)
-    adapted_report = evaluator.evaluate(adapted, target_task)
-    anchor_report = evaluator.evaluate(handcrafted_reward(target_task), target_task)
+    adapted_report, anchor_report = _profile_evaluator(args).run(
+        [(adapted, target_task), (handcrafted_reward(target_task), target_task)]
+    )
 
     out = Path(args.out or f"{path.stem}-to-{target_task}.rsl")
     rsl.write_reward_file(

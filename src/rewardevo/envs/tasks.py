@@ -144,12 +144,9 @@ def make_policy(task: MetaTask, kind: str | None = None):
             n_actions=cfg.get("n_actions", 3), n_out=cfg.get("n_out", 0)
         )
     if kind == "qtable":
-        return QTablePolicy(
-            cfg["n_actions"], cfg.get("lr"), cfg.get("gamma", 0.3),
-            cfg.get("epsilon", 0.4),
-        )
+        return QTablePolicy(cfg["n_actions"], cfg["lr"], cfg["gamma"], cfg["epsilon"])
     if kind == "linear":
-        return LinearGainPolicy(cfg["n_out"], cfg.get("sigma", 0.2))
+        return LinearGainPolicy(cfg["n_out"], cfg["sigma"])
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
@@ -178,8 +175,8 @@ def train_policy(
         return policy
 
     # (1+lambda) perturbation search on episode return for the linear policy.
-    lam = int(task.policy_config.get("lambda", 4))
-    sigma = float(task.policy_config.get("sigma", 0.2))
+    lam = int(task.policy_config["lambda"])
+    sigma = float(task.policy_config["sigma"])
     iterations = max(1, episodes // (1 + lam))
     rng = np.random.Generator(np.random.PCG64(mix64(seed, 424242)))
     for it in range(iterations):

@@ -1,5 +1,5 @@
 """Run configuration: validated before any side effect, echoed into the run
-directory (minus the output path itself)."""
+directory."""
 
 from __future__ import annotations
 

@@ -58,7 +58,6 @@ class RunResult:
     run_dir: RunDir
     niches: dict[str, Niche]
     best: dict[str, Individual]
-    generations_run: int
 
 
 class _State:
@@ -207,7 +206,7 @@ def initialize_niche(
         task_id, EXPERT_THOUGHT, anchor_program.source_text, anchor_program, 0, (),
         "expert",
     )
-    state.apply_report(anchor, evaluator.evaluate(anchor_program, task_id))
+    state.apply_report(anchor, evaluator.run([(anchor_program, task_id)])[0])
     if not anchor.valid:
         raise RuntimeError(
             f"expert anchor for {task_id} evaluated invalid; environment broken"
@@ -238,7 +237,7 @@ def initialize_niche(
             continue
         thought, source, program = result
         ind = state.new_individual(task_id, thought, source, program, 0, (), "init")
-        state.apply_report(ind, evaluator.evaluate(program, task_id))
+        state.apply_report(ind, evaluator.run([(program, task_id)])[0])
         if ind.valid and ind.fitness < anchor.fitness:
             niche.members.append(ind)
             niche.note_best(ind)
@@ -339,9 +338,7 @@ def reproduce(
         )
         for c in candidates
     ]
-    reports = evaluator.evaluate_batch(
-        [(ind.program(), niche.task_id) for ind in offspring]
-    )
+    reports = evaluator.run([(ind.program(), niche.task_id) for ind in offspring])
     for ind, report in zip(offspring, reports):
         state.apply_report(ind, report)
         if ind.valid:
@@ -352,7 +349,7 @@ def reproduce(
 def _test_labels(evaluator) -> list[str]:
     """Instance labels aligned with per_instance_medians. Evaluators backed
     by a real suite expose it; synthetic ones fall back to family names."""
-    suite = getattr(getattr(evaluator, "scheduler", None), "suite", None)
+    suite = getattr(evaluator, "suite", None)
     if suite is not None:
         return [
             f"{inst.name} (seed {inst.instance_seed})"
@@ -441,7 +438,9 @@ def knowledge_transfer(
             "kt",
             reflection=pw.strategy,
         )
-        state.apply_report(transplant, evaluator.evaluate(program, pw.target_task))
+        state.apply_report(
+            transplant, evaluator.run([(program, pw.target_task)])[0]
+        )
         record.transplant_id = transplant.id
         record.transplant_fitness = (
             transplant.fitness if transplant.valid else None
@@ -498,10 +497,12 @@ def run_discovery(
     resume: bool = False,
     on_generation=None,
 ) -> RunResult:
-    """Algorithm main loop. ``evaluator`` exposes evaluate(program, task_id)
-    and evaluate_batch(pairs); ``provider`` exposes complete(template_id,
-    prompt, temperature). ``on_generation(generation, rows)`` is invoked with
-    the per-task report rows as each generation completes."""
+    """Algorithm main loop. ``evaluator.run(pairs)`` scores a list of
+    ``(program, task_id)`` pairs and returns one FitnessReport per pair, in
+    order; an evaluator with a ``suite`` attribute lends the m1 prompts its
+    test-instance labels. ``provider`` exposes complete(template_id, prompt,
+    temperature). ``on_generation(generation, rows)`` is invoked with the
+    per-task report rows as each generation completes."""
     config.validate()
     run = RunDir(out_dir, resume=resume)
     recorder = llm.RecordingProvider(provider, run.exchanges_path)
@@ -569,7 +570,10 @@ def run_discovery(
             run.append_archive(eliminated, g)
             for ind in parents + offspring:
                 run.write_individual(g, ind)
-            if allow_abort and _provider_dead(recorder, offspring, config):
+            # Live-provider health check: a niche whose every operator slot
+            # came back empty means the transport is down; checkpoint and
+            # abort rather than crawl on.
+            if allow_abort and not offspring:
                 state.generation = g
                 _snapshot(run, state, recorder, g)
                 raise DiscoveryAborted(
@@ -594,18 +598,7 @@ def run_discovery(
         if niche.best_ever_id is not None:
             best[tid] = state.registry[niche.best_ever_id]
             run.write_best(best[tid])
-    return RunResult(
-        run_dir=run,
-        niches=state.niches,
-        best=best,
-        generations_run=max(state.generation, 0),
-    )
-
-
-def _provider_dead(recorder, offspring, config: RunConfig) -> bool:
-    # Live-provider health check: a full niche of skipped slots means the
-    # transport is down; checkpoint and abort rather than crawl on.
-    return len(offspring) == 0 and config.niche_size * len(OPERATOR_ORDER) >= 5
+    return RunResult(run_dir=run, niches=state.niches, best=best)
 
 
 def _snapshot(run: RunDir, state: _State, recorder, generation: int) -> None:

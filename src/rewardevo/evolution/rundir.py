@@ -54,9 +54,8 @@ class RunDir:
 
     # -- plain files ---------------------------------------------------------
     def write_config(self, config_dict: dict) -> None:
-        clean = {k: v for k, v in config_dict.items() if k != "out_dir"}
         (self.path / "config.json").write_text(
-            json.dumps(clean, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(config_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
     @property

@@ -15,7 +15,6 @@ from .core import (
     normalized_score,
 )
 from .scheduler import (
-    EvalJob,
     EvaluationScheduler,
     FitnessCache,
     job_key,
@@ -34,7 +33,6 @@ __all__ = [
     "evaluate_fitness",
     "invalid_report",
     "normalized_score",
-    "EvalJob",
     "EvaluationScheduler",
     "FitnessCache",
     "job_key",

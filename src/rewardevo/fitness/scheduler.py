@@ -15,11 +15,10 @@ import os
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .. import rsl
-from ..envs import SCHEMA_VERSION, MetaTask
+from ..envs import SCHEMA_VERSION, MetaTask, make_task
 from ..problems import ProblemSuite
 from .core import EvalBudget, FitnessReport, evaluate_fitness
 
@@ -81,68 +80,68 @@ class FitnessCache:
             os.replace(tmp, path)
 
 
-@dataclass(frozen=True)
-class EvalJob:
-    reward: rsl.RewardProgram
-    task_id: str
-    seed: int
-
-
 class EvaluationScheduler:
-    """Runs evaluation jobs on a bounded worker pool, cache-first."""
+    """Scores ``(reward, task_id)`` pairs under one suite, budget and seed,
+    cache-first, on a bounded worker pool: the evaluator that the CLI and the
+    discovery loop share."""
 
     def __init__(
         self,
-        tasks: dict[str, MetaTask],
         suite: ProblemSuite,
         budget: EvalBudget,
+        seed: int,
         cache: FitnessCache | None = None,
         worker_count: int = 1,
     ):
-        self.tasks = tasks
         self.suite = suite
         self.budget = budget
+        self.seed = int(seed)
         self.cache = cache or FitnessCache()
         self.worker_count = max(1, worker_count)
+        self._tasks: dict[str, MetaTask] = {}
 
-    def _run_job(self, job: EvalJob) -> FitnessReport:
-        task = self.tasks[job.task_id]
-        return evaluate_fitness(job.reward, task, self.suite, self.budget, job.seed)
-
-    def _run_with_retry(self, job: EvalJob) -> FitnessReport:
+    def _evaluate_with_retry(
+        self, reward: rsl.RewardProgram, task: MetaTask
+    ) -> FitnessReport:
         try:
-            return self._run_job(job)
+            return evaluate_fitness(reward, task, self.suite, self.budget, self.seed)
         except Exception:
             logger.warning("evaluation job crashed; retrying once", exc_info=True)
-            return self._run_job(job)
+            return evaluate_fitness(reward, task, self.suite, self.budget, self.seed)
 
-    def run(self, jobs: list[EvalJob]) -> list[FitnessReport]:
-        """Reports in request order; duplicate jobs share one execution."""
+    def run(self, pairs: list[tuple[rsl.RewardProgram, str]]) -> list[FitnessReport]:
+        """Reports in request order; duplicate pairs share one execution."""
         keys = [
-            job_key(job.reward.content_hash, job.task_id, job.seed, self.budget)
-            for job in jobs
+            job_key(reward.content_hash, task_id, self.seed, self.budget)
+            for reward, task_id in pairs
         ]
         results: dict[str, FitnessReport] = {}
-        pending: dict[str, EvalJob] = {}
-        for key, job in zip(keys, jobs):
+        pending: dict[str, tuple[rsl.RewardProgram, MetaTask]] = {}
+        for key, (reward, task_id) in zip(keys, pairs):
             if key in results or key in pending:
                 continue
             cached = self.cache.get(key)
             if cached is not None:
                 results[key] = cached
-            else:
-                pending[key] = job
+                continue
+            # Built on first use: a task whose population does not fit the
+            # budget fails only when it is asked for.
+            if task_id not in self._tasks:
+                self._tasks[task_id] = make_task(
+                    task_id, self.suite, max_fes=self.budget.fe_budget
+                )
+            pending[key] = (reward, self._tasks[task_id])
 
         if pending:
             if self.worker_count == 1:
                 for key, job in pending.items():
-                    report = self._run_with_retry(job)
+                    report = self._evaluate_with_retry(*job)
                     self.cache.put(key, report)
                     results[key] = report
             else:
                 with ThreadPoolExecutor(max_workers=self.worker_count) as pool:
                     futures = {
-                        key: pool.submit(self._run_with_retry, job)
+                        key: pool.submit(self._evaluate_with_retry, *job)
                         for key, job in pending.items()
                     }
                     for key, fut in futures.items():
@@ -150,22 +149,3 @@ class EvaluationScheduler:
                         self.cache.put(key, report)
                         results[key] = report
         return [results[key] for key in keys]
-
-    def evaluate(self, reward: rsl.RewardProgram, task_id: str, seed: int) -> FitnessReport:
-        return self.run([EvalJob(reward, task_id, seed)])[0]
-
-
-class SchedulerEvaluator:
-    """The evaluator protocol the discovery loop consumes, bound to one
-    scheduler and one base seed (all candidates measured under equal seeds)."""
-
-    def __init__(self, scheduler: EvaluationScheduler, seed: int):
-        self.scheduler = scheduler
-        self.seed = int(seed)
-
-    def evaluate(self, reward: rsl.RewardProgram, task_id: str) -> FitnessReport:
-        return self.scheduler.evaluate(reward, task_id, self.seed)
-
-    def evaluate_batch(self, pairs) -> list[FitnessReport]:
-        jobs = [EvalJob(reward, task_id, self.seed) for reward, task_id in pairs]
-        return self.scheduler.run(jobs)

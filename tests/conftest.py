@@ -36,11 +36,15 @@ def golden_dir():
 
 
 def golden_check(path: Path, actual: str, regen: bool) -> None:
-    """Compare against a committed golden file; regenerate when asked."""
-    if regen or not path.exists():
+    """Compare against a committed golden file; (re)generate it only when
+    asked, so a deleted golden file fails its test instead of hiding it."""
+    if regen:
         path.write_text(actual, encoding="utf-8")
-        if not regen:
-            pytest.skip(f"golden file {path.name} created; rerun to compare")
+    if not path.exists():
+        pytest.fail(
+            f"golden file {path.name} is missing; set REWARDEVO_REGEN_GOLDEN=1 "
+            f"to generate it"
+        )
     expected = path.read_text(encoding="utf-8")
     assert actual == expected, (
         f"{path.name} drifted; set REWARDEVO_REGEN_GOLDEN=1 to regenerate "

@@ -24,15 +24,10 @@ class MagicEvaluator:
 
     def __init__(self, n_instances: int = 16):
         self.n_instances = n_instances
-        self.calls = 0
 
-    def _fitness(self, program) -> float:
+    def _report(self, program) -> FitnessReport:
         m = _MAGIC.search(program.source_text)
-        return float(m.group(1)) if m else ANCHOR_FITNESS
-
-    def evaluate(self, program, task_id) -> FitnessReport:
-        self.calls += 1
-        fit = self._fitness(program)
+        fit = float(m.group(1)) if m else ANCHOR_FITNESS
         medians = [fit + 0.001 * i for i in range(self.n_instances)]
         return FitnessReport(
             fitness=fit,
@@ -42,8 +37,8 @@ class MagicEvaluator:
             budget_used=0,
         )
 
-    def evaluate_batch(self, pairs):
-        return [self.evaluate(p, t) for p, t in pairs]
+    def run(self, pairs) -> list[FitnessReport]:
+        return [self._report(program) for program, _task_id in pairs]
 
 
 def reward_response(constant: float, thought: str | None = None) -> str:

@@ -19,7 +19,6 @@ from rewardevo.evolution.selection import first_draw_distribution
 from rewardevo.evolution.loop import _State
 from rewardevo.fitness import (
     EvalBudget,
-    EvalJob,
     EvaluationScheduler,
     FitnessCache,
     aggregate_scores,
@@ -137,15 +136,11 @@ def _discovery_setup(tmp_path, tag: str):
     )
     script = full_run_script(config.tasks, config.niche_size, config.g_max)
     suite = make_suite(config.dimension, config.suite_seed)
-    tasks = {t: make_task(t, suite, max_fes=config.fe_budget) for t in config.tasks}
     budget = EvalBudget(gamma=1, fe_budget=1000, train_episodes=2)
     out = tmp_path / tag
-    scheduler = EvaluationScheduler(
-        tasks, suite, budget, FitnessCache(out / "fitness-cache"), worker_count=1
+    evaluator = EvaluationScheduler(
+        suite, budget, config.seed, FitnessCache(out / "fitness-cache"), worker_count=1
     )
-    from rewardevo.fitness.scheduler import SchedulerEvaluator
-
-    evaluator = SchedulerEvaluator(scheduler, seed=config.seed)
     provider = llm.MockProvider(script.script)
     return config, provider, evaluator, out
 
@@ -390,25 +385,17 @@ def test_criterion_09_sandbox_safety():
 
 def test_criterion_10_scheduler_invariance(suite_d2):
     """A 25-job batch yields bit-identical reports at worker counts 1 and 8."""
-    tasks = {
-        tid: make_task(tid, suite_d2, max_fes=600)
-        for tid in ("pso-parameter-control", "algorithm-selection")
-    }
     budget = EvalBudget(gamma=1, fe_budget=600, train_episodes=0)
     rewards = [
         rsl.parse(f"return clip(ctx.gbest_improve * {k + 1}.0, 0.0, 1.0), {{}}")
         for k in range(13)
     ]
     jobs = [
-        EvalJob(
-            rewards[i % 13],
-            ("pso-parameter-control", "algorithm-selection")[i % 2],
-            seed=4,
-        )
+        (rewards[i % 13], ("pso-parameter-control", "algorithm-selection")[i % 2])
         for i in range(25)
     ]
-    r1 = EvaluationScheduler(tasks, suite_d2, budget, FitnessCache(), 1).run(jobs)
-    r8 = EvaluationScheduler(tasks, suite_d2, budget, FitnessCache(), 8).run(jobs)
+    r1 = EvaluationScheduler(suite_d2, budget, 4, FitnessCache(), 1).run(jobs)
+    r8 = EvaluationScheduler(suite_d2, budget, 4, FitnessCache(), 8).run(jobs)
     identical = all(a.to_dict() == b.to_dict() for a, b in zip(r1, r8))
     report(
         10,

@@ -32,6 +32,10 @@ def small_config(tmp_path):
     return path, cfg
 
 
+# A replay line that is not JSON, and one without a template id.
+MALFORMED_REPLAY_LINES = ["{x", json.dumps({"response": reward_response(0.1)})]
+
+
 def write_replay(tmp_path, cfg):
     script = full_run_script(cfg["tasks"], cfg["niche_size"], cfg["g_max"])
     path = tmp_path / "replay.jsonl"
@@ -82,6 +86,19 @@ class TestDiscover:
             ["discover", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
         )
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", MALFORMED_REPLAY_LINES, ids=["not-json", "no-template"])
+    def test_malformed_replay_is_config_error(self, tmp_path, small_config, line, capsys):
+        cfg_path, _ = small_config
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text(line + "\n")
+        rc = cli.main(
+            ["discover", "--config", str(cfg_path), "--replay", str(replay),
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == EXIT_CONFIG
+        assert "replay script" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_replace_op_shows_in_lineage(self, tmp_path, small_config):
         cfg_path, cfg = small_config
@@ -300,6 +317,20 @@ class TestTransfer:
         )
         assert rc == EXIT_CONFIG
         assert "provider config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", MALFORMED_REPLAY_LINES, ids=["not-json", "no-template"])
+    def test_malformed_replay_is_config_error(self, tmp_path, line, capsys):
+        src = self._source_file(tmp_path)
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text(line + "\n")
+        out = tmp_path / "adapted.rsl"
+        rc = cli.main(
+            ["transfer", str(src), "--target-task", DAS, "--replay", str(replay),
+             "--out", str(out)]
+        )
+        assert rc == EXIT_CONFIG
+        assert "replay script" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_task_rejected(self, tmp_path):
         src = self._source_file(tmp_path)

@@ -12,6 +12,7 @@ from rewardevo.evolution import (
     NO_ARCHIVE_MARKER,
     NO_HISTORY_MARKER,
     Archive,
+    DiscoveryAborted,
     Individual,
     RunConfig,
     first_draw_distribution,
@@ -556,6 +557,22 @@ class TestDiscoveryRuns:
         full_best = {t: i.fitness for t, i in full.best.items()}
         resumed_best = {t: i.fitness for t, i in resumed.best.items()}
         assert full_best == resumed_best
+
+    def test_dead_live_provider_aborts_resumably(self, tmp_path):
+        def unavailable(url, headers, payload, timeout):
+            return 503, "service unavailable"
+
+        provider = llm.LiveProvider(
+            llm.ProviderConfig(endpoint="http://127.0.0.1:9/v1", model="m"),
+            transport=unavailable,
+            sleep=lambda seconds: None,
+        )
+        cfg = RunConfig(tasks=[DE, PSO], niche_size=2, g_max=2, seed=1)
+        out = tmp_path / "run"
+        with pytest.raises(DiscoveryAborted) as info:
+            run_discovery(cfg, provider, MagicEvaluator(), out)
+        assert info.value.generation == 1
+        assert (out / "snapshots" / "gen-1.json").exists()
 
     def test_config_validation(self):
         with pytest.raises(Exception):

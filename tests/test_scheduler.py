@@ -3,10 +3,8 @@ import threading
 import pytest
 
 from rewardevo import rsl
-from rewardevo.envs import handcrafted_reward, make_task
 from rewardevo.fitness import (
     EvalBudget,
-    EvalJob,
     EvaluationScheduler,
     FitnessCache,
     evaluate_fitness,
@@ -16,18 +14,14 @@ from rewardevo.fitness import (
 
 @pytest.fixture()
 def scheduler_parts(suite_d2):
-    tasks = {
-        tid: make_task(tid, suite_d2, max_fes=600)
-        for tid in ("pso-parameter-control", "algorithm-selection")
-    }
     budget = EvalBudget(gamma=1, fe_budget=600, train_episodes=0)
-    return tasks, suite_d2, budget
+    return suite_d2, budget
 
 
 def make_scheduler(parts, workers=1, cache=None):
-    tasks, suite, budget = parts
+    suite, budget = parts
     return EvaluationScheduler(
-        tasks, suite, budget, cache=cache or FitnessCache(), worker_count=workers
+        suite, budget, 3, cache=cache or FitnessCache(), worker_count=workers
     )
 
 
@@ -37,7 +31,7 @@ def some_jobs(n):
         for k in range(n)
     ]
     return [
-        EvalJob(rewards[i], ("pso-parameter-control", "algorithm-selection")[i % 2], 3)
+        (rewards[i], ("pso-parameter-control", "algorithm-selection")[i % 2])
         for i in range(n)
     ]
 
@@ -60,7 +54,6 @@ class TestScheduler:
         assert [r.to_dict() for r in r1] == [r.to_dict() for r in r8]
 
     def test_duplicate_jobs_share_one_execution(self, scheduler_parts, monkeypatch):
-        tasks, suite, budget = scheduler_parts
         calls = []
         real = evaluate_fitness
 
@@ -69,7 +62,7 @@ class TestScheduler:
             return real(reward, task, s, b, seed)
 
         monkeypatch.setattr("rewardevo.fitness.scheduler.evaluate_fitness", counting)
-        sched = make_scheduler((tasks, suite, budget))
+        sched = make_scheduler(scheduler_parts)
         job = some_jobs(1)[0]
         reports = sched.run([job, job, job])
         assert len(reports) == 3
@@ -116,8 +109,16 @@ class TestScheduler:
         report = make_scheduler(scheduler_parts).run([some_jobs(1)[0]])[0]
         assert not report.invalid_flag
 
+    def test_task_built_only_when_asked_for(self, suite_d2):
+        # 150 FEs cover DE's population of 50 twice but not PSO's of 100.
+        sched = EvaluationScheduler(suite_d2, EvalBudget(1, 150, 0), 3)
+        reward = rsl.parse("return 0.0, {}")
+        assert not sched.run([(reward, "de-operator-selection")])[0].invalid_flag
+        with pytest.raises(ValueError, match="NP"):
+            sched.run([(reward, "pso-parameter-control")])
+
     def test_key_includes_budget_and_seed(self, scheduler_parts):
-        _, _, budget = scheduler_parts
+        _, budget = scheduler_parts
         other = EvalBudget(gamma=2, fe_budget=600, train_episodes=0)
         r = rsl.parse("return 0.0, {}")
         k1 = job_key(r.content_hash, "pso-parameter-control", 1, budget)
