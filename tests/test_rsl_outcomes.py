@@ -6,11 +6,13 @@ its outcomes on 200 seeded ``random_context`` draws, and the full outcome of
 each edge program below. The edge programs sit where an evaluator is most
 likely to drift: nesting deeper than Python's own compiler accepts, literals
 and keys that are not valid Python, signed zeros, integer overflow and the
-exact step budget. Regenerate with ``REWARDEVO_REGEN_GOLDEN=1`` only when an
-outcome is meant to change.
+exact step budget. One more edge per row of ``BUILTIN_CALLS`` pins each
+builtin's values and each of its error messages. Regenerate with
+``REWARDEVO_REGEN_GOLDEN=1`` only when an outcome is meant to change.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -174,6 +176,125 @@ ERRORS = {
     "undefined_before_missing": "return y + ctx.missing, {}",
 }
 
+V3, M23 = (3,), (2, 3)  # result shapes of the builtin calls below
+
+# One call per row: each builtin on the scalar, vector and matrix inputs it
+# accepts, and each of its error branches (argument count, kind, empty
+# collection, axis, bounds, an int beyond float range).
+BUILTIN_CALLS = [
+    *(
+        call
+        for fn in ("abs", "tanh", "exp", "log", "log1p", "sqrt", "sign")
+        for call in (
+            f"{fn}(ctx.x)", f"{fn}(ctx.p)", f"{fn}(ctx.i)", f"{fn}(ctx.b)",
+            f"{fn}(ctx.z)", f"{fn}(ctx.nz)", f"{fn}(1.5)", (f"{fn}(ctx.v)", V3),
+            (f"{fn}(ctx.m)", M23), (f"{fn}(ctx.iv)", V3), f"{fn}([])", f"{fn}()",
+            f"{fn}(ctx.x, ctx.x)", f"{fn}(ctx.r)", f'{fn}("s")', f"{fn}({HUGE})",
+            f"{fn}(ctx.nan)", f"{fn}(ctx.inf)", f"{fn}(-1.0)", f"{fn}(1000.0)",
+        )
+    ),
+    *(
+        call
+        for fn in ("min", "max")
+        for call in (
+            f"{fn}()", f"{fn}(ctx.x)", f"{fn}(ctx.i)", f"{fn}(ctx.b)", f"{fn}(ctx.v)",
+            f"{fn}(ctx.m)", f"{fn}(ctx.iv)", f"{fn}([])", f"{fn}(ctx.r)", f'{fn}("s")',
+            f"{fn}({HUGE})", f"{fn}(ctx.x, ctx.i)", f"{fn}(ctx.i, ctx.b)",
+            f"{fn}(ctx.x, ctx.p, ctx.z)", (f"{fn}(ctx.v, 0.0)", V3),
+            (f"{fn}(ctx.v, ctx.w)", V3), (f"{fn}(ctx.m, ctx.v)", M23),
+            (f"{fn}(0.0, ctx.v, ctx.w)", V3), f"{fn}(ctx.v, [1.0, 2.0])",
+            f'{fn}(ctx.x, "s")', f"{fn}(ctx.r, 1.0)", f"{fn}({HUGE}, 1.0)",
+            f"{fn}(ctx.nan, ctx.nan)",
+        )
+    ),
+    *(
+        call
+        for fn in ("sum", "mean", "std", "median", "ptp")
+        for call in (
+            f"{fn}(ctx.x)", f"{fn}(ctx.i)", f"{fn}(ctx.b)", f"{fn}(ctx.v)",
+            f"{fn}(ctx.m)", f"{fn}(ctx.iv)", f"{fn}(ctx.im)", f"{fn}(ctx.bv)",
+            f"{fn}([])", f"{fn}(ctx.em)", f"{fn}(ctx.r)", f'{fn}("s")', f"{fn}()",
+            f"{fn}(ctx.v, ctx.v)", f"{fn}({HUGE})", f"{fn}(ctx.hv)",
+        )
+    ),
+    "quantile(ctx.v, 0.25)", "quantile(ctx.v, 0)", "quantile(ctx.v, 1)",
+    "quantile(ctx.v, ctx.b)", "quantile(ctx.m, 0.5)", "quantile(ctx.iv, 0.5)",
+    "quantile(ctx.v, 1.5)", "quantile(ctx.v, -0.1)", "quantile(ctx.v, ctx.nan)",
+    "quantile(ctx.v, ctx.v)", "quantile(ctx.v, ctx.r)", "quantile([], 0.5)",
+    "quantile(ctx.x, 0.5)", "quantile(ctx.r, 0.5)", "quantile(ctx.v)",
+    "quantile(ctx.v, 0.5, 0.5)", f"quantile(ctx.v, {HUGE})",
+    "clip(ctx.x, -1.0, 1.0)", "clip(ctx.i, 0, 2)", "clip(ctx.b, 0, 1)",
+    "clip(ctx.x, ctx.z, ctx.z)", ("clip(ctx.v, -1.0, 1.0)", V3),
+    ("clip(ctx.m, 0, 1)", M23), ("clip(ctx.iv, ctx.b, 2)", V3),
+    "clip(ctx.x, 1.0, -1.0)", "clip(ctx.v, ctx.v, 1.0)", "clip(ctx.x, 0.0, ctx.v)",
+    'clip(ctx.x, "a", 1.0)', "clip(ctx.r, 0.0, 1.0)", 'clip("s", 0.0, 1.0)',
+    "clip([], 0.0, 1.0)", "clip(ctx.x, 0.0)", "clip(ctx.x, 0.0, 1.0, 2.0)",
+    f"clip({HUGE}, 0.0, 1.0)", f"clip(ctx.x, 0.0, {HUGE})",
+    "clip(ctx.nan, 0.0, 1.0)", "clip(ctx.x, ctx.nan, 1.0)",
+    "norm(ctx.x)", "norm(ctx.i)", "norm(ctx.b)", "norm(ctx.v)", "norm(ctx.m)",
+    "norm(ctx.iv)", "norm([])", "norm(ctx.r)", 'norm("s")', "norm()",
+    f"norm({HUGE})", "norm(ctx.hv)", ("norm(ctx.m, 0)", V3), ("norm(ctx.m, 1)", (2,)),
+    "norm(ctx.v, 0)", "norm(ctx.m, 2)", "norm(ctx.m, 0.5)", "norm(ctx.em, 0)",
+    "norm(ctx.m, 0, 1)",
+    *(
+        call
+        for fn in ("mean_axis", "std_axis", "min_axis", "max_axis", "norm_axis")
+        for call in (
+            (f"{fn}(ctx.m, 0)", V3), (f"{fn}(ctx.m, 1)", (2,)),
+            (f"{fn}(ctx.m, 1.0)", (2,)), (f"{fn}(ctx.m, ctx.b)", (2,)),
+            (f"{fn}(ctx.im, 0)", V3), (f"{fn}(ctx.im, 1)", (2,)),
+            f"{fn}(ctx.m, 2)", f"{fn}(ctx.m, -1)", f"{fn}(ctx.m, 0.5)",
+            f"{fn}(ctx.m, ctx.v)", f"{fn}(ctx.m, {HUGE})", f"{fn}(ctx.v, 0)",
+            f"{fn}(ctx.x, 0)", f"{fn}(ctx.r, 0)", f"{fn}(ctx.em, 0)",
+            f"{fn}(ctx.m)", f"{fn}(ctx.m, 0, 1)",
+        )
+    ),
+    *(
+        call
+        for fn in ("argsort", "sort")
+        for call in (
+            (f"{fn}(ctx.v)", V3), (f"{fn}(ctx.iv)", V3), (f"{fn}([1.0, 1.0, 0.5])", V3),
+            f"{fn}(ctx.m)", f"{fn}([])", f"{fn}(ctx.x)", f"{fn}(ctx.r)", f'{fn}("s")',
+            f"{fn}()", f"{fn}(ctx.v, ctx.v)",
+        )
+    ),
+    "len(ctx.v)", "len(ctx.m)", "len(ctx.r)", "len([])", "len(ctx.em)", "len(ctx.x)",
+    "len(ctx.b)", 'len("s")', "len()", "len(ctx.v, ctx.v)",
+    "dot(ctx.v, ctx.w)", "dot(ctx.iv, ctx.v)", ("dot(ctx.m, ctx.v)", (2,)),
+    ("dot(ctx.m, ctx.mt)", (2, 2)), "dot([], [])", "dot(ctx.v, ctx.m)",
+    "dot(ctx.x, ctx.v)", "dot(ctx.v, ctx.x)", "dot(ctx.r, ctx.v)", "dot(ctx.v)",
+    "dot(ctx.v, ctx.v, ctx.v)", "dot(ctx.hv, ctx.hv)",
+    "corr(ctx.v, ctx.w)", "corr(ctx.v, ctx.v)", "corr(ctx.iv, ctx.v)",
+    "corr([1.0], [2.0])", "corr([], [])", "corr(ctx.v, [1.0, 1.0, 1.0])",
+    "corr(ctx.hv, ctx.v)", "corr(ctx.m, ctx.v)", "corr(ctx.v, ctx.m)",
+    "corr(ctx.v, ctx.x)", "corr(ctx.x, ctx.v)", "corr(ctx.v, [1.0, 2.0])",
+    "corr(ctx.v)", "corr(ctx.v, ctx.v, ctx.v)",
+    ("roll(ctx.v, 1)", V3), ("roll(ctx.v, -1.0)", V3), ("roll(ctx.v, ctx.b)", V3),
+    ("roll(ctx.v, 4)", V3), ("roll(ctx.m, 1)", M23), (f"roll(ctx.v, {HUGE})", V3),
+    "roll(ctx.v, 0.5)", "roll(ctx.v, ctx.v)", "roll(ctx.v, ctx.r)", "roll(ctx.x, 1)",
+    "roll([], 1)", "roll(ctx.r, 1)", "roll(ctx.v)", "roll(ctx.v, 1, 1)",
+]
+
+BUILTIN_CONTEXT = {
+    "x": -1.25, "p": 0.75, "i": 3, "b": True, "z": 0.0, "nz": -0.0,
+    "nan": float("nan"), "inf": float("inf"),
+    "v": np.array([0.5, -2.0, 1.5]), "w": np.array([1.0, 4.0, -3.0]),
+    "iv": np.array([2, -1, 3]), "bv": np.array([True, False, True]),
+    "hv": np.array([1e200, -1e200, 0.0]),
+    "m": np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.0]]),
+    "mt": np.array([[1.0, 0.0], [2.0, -1.0], [0.5, 4.0]]),
+    "im": np.array([[1, 2, 3], [4, 5, 7]]), "em": np.zeros((0, 3)),
+    "r": {"a": 1.0},
+}
+
+
+def _builtin_program(call: str, shape: tuple = ()) -> str:
+    """``y = <call>``, read out element by element into the components."""
+    cells = ["".join(f"[{i}]" for i in at) for at in itertools.product(*map(range, shape))]
+    reads = ", ".join(f'"y{c}": y{c}' for c in cells)
+    return f"y = {call}\nreturn 0.0, {{{reads}}}"
+
+
 EDGES = {
     "for_nest_60": (_for_nest(60), {}),
     "if_nest_75": (_if_nest(75), {}),
@@ -191,6 +312,12 @@ EDGES = {
     "huge_int": (f"x = {HUGE}\nreturn 0.0, {{\"lt\": x > 1.5, \"mul\": x * 0}}", {}),
     "special_values": (SPECIAL, SPECIAL_CONTEXT),
     **{f"error_{k}": (src, {"a": 1.0, **SPECIAL_CONTEXT}) for k, src in ERRORS.items()},
+    **{
+        f"builtin {call.replace(HUGE, '<10**400>')}": (
+            _builtin_program(call, *shape), BUILTIN_CONTEXT
+        )
+        for call, *shape in (c if isinstance(c, tuple) else (c,) for c in BUILTIN_CALLS)
+    },
 }
 
 # Steps a completing run of each program uses: it must complete at exactly
