@@ -11,7 +11,7 @@ from .errors import (
     RslValidationError,
     RslValueError,
 )
-from .parser import BUILTINS
+from .interp import BUILTINS
 from .program import (
     DEFAULT_LIMITS,
     EvalLimits,

@@ -1,6 +1,12 @@
 """Bounded evaluator: an AST compiles once into Python source, then runs per
 context.
 
+Each builtin is declared once, in ``_BUILTINS``: the argument counts it
+accepts, the wording of its arity error, its checked implementation and, for
+some, an inline path for exact float operands. The parser admits exactly the
+table's names (``BUILTINS``); generated code calls an entry's slow path
+directly, with no dispatch on the name at run time.
+
 The generator emits one function per rsl block (per eight statements of a
 long block, and per ``elif`` chain, short-circuit operand and ``ctx.get``
 default), with expressions as three-address temporaries, so nesting never
@@ -15,8 +21,8 @@ Safety properties enforced here:
     when it runs), so loops cannot run away and a completing program uses
     exactly its node-visit count
   - program text never enters the generated source: variables are slot
-    numbers, literals, field names and keys are constants ``k<i>``, and
-    the code runs with empty ``__builtins__``
+    numbers, literals, field names, keys and builtins are constants
+    ``k<i>``, and the code runs with empty ``__builtins__``
   - any non-finite intermediate aborts with a numeric error
   - context values are never mutated (no vector/matrix assignment exists)
   - all failures are RslRuntimeError subclasses
@@ -25,7 +31,9 @@ Safety properties enforced here:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import operator
+import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,50 +112,42 @@ def _num_only(v, what: str):
     raise RslTypeError(f"{what} expects numeric operands, got {_kind(v)}")
 
 
+_ARITH = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": operator.mod,
+}
+_BY_ZERO = {"/": "division by zero", "%": "modulo by zero"}
+_COMPARE = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+}
+
+
 def _binop(op: str, a, b):
     _num_only(a, f"operator {op!r}")
     _num_only(b, f"operator {op!r}")
     both_scalar = isinstance(a, _SCALARS) and isinstance(b, _SCALARS)
     try:
-        if op == "+":
-            r = a + b
-        elif op == "-":
-            r = a - b
-        elif op == "*":
-            r = a * b
-        elif op == "/":
-            if both_scalar:
-                if b == 0:
-                    raise RslNumericError("division by zero")
-                r = a / b
-            else:
-                r = a / b
-        elif op == "%":
-            if both_scalar:
-                if b == 0:
-                    raise RslNumericError("modulo by zero")
-                r = a % b
-            else:
-                r = a % b
-        elif op == "**":
-            if both_scalar:
-                try:
-                    r = math.pow(float(a), float(b))
-                except (ValueError, OverflowError) as exc:
-                    raise RslNumericError(f"power domain error: {exc}")
-                # Keep int semantics for small non-negative integer powers.
-                if (
-                    isinstance(a, int)
-                    and isinstance(b, int)
-                    and not isinstance(a, bool)
-                    and 0 <= b <= 64
-                    and abs(r) < 2**53
-                ):
-                    r = a**b
-            else:
-                r = np.power(a, b)
-        else:  # pragma: no cover - parser admits no other ops
-            raise RslTypeError(f"unknown operator {op!r}")
+        if op != "**":
+            if both_scalar and op in _BY_ZERO and b == 0:
+                raise RslNumericError(_BY_ZERO[op])
+            r = _ARITH[op](a, b)
+        elif both_scalar:
+            try:
+                r = math.pow(float(a), float(b))
+            except (ValueError, OverflowError) as exc:
+                raise RslNumericError(f"power domain error: {exc}")
+            # Keep int semantics for small non-negative integer powers.
+            if (
+                isinstance(a, int)
+                and isinstance(b, int)
+                and not isinstance(a, bool)
+                and 0 <= b <= 64
+                and abs(r) < 2**53
+            ):
+                r = a**b
+        else:
+            r = np.power(a, b)
     except RslRuntimeError:
         raise
     except (TypeError, ValueError) as exc:
@@ -161,18 +161,7 @@ def _compare(op: str, a, b):
     _num_only(a, f"comparison {op!r}")
     _num_only(b, f"comparison {op!r}")
     try:
-        if op == "<":
-            r = a < b
-        elif op == "<=":
-            r = a <= b
-        elif op == ">":
-            r = a > b
-        elif op == ">=":
-            r = a >= b
-        elif op == "==":
-            r = a == b
-        else:
-            r = a != b
+        r = _COMPARE[op](a, b)
     except (TypeError, ValueError) as exc:
         raise RslTypeError(f"comparison {op!r}: {exc}")
     if isinstance(r, np.ndarray):
@@ -198,13 +187,6 @@ def _vec_arg(x, fn: str) -> np.ndarray:
     raise RslTypeError(f"{fn}() expects a vector or matrix, got {_kind(x)}")
 
 
-def _reduce_arg(x, fn: str):
-    """Reductions are lenient on scalars (treated as 1-element data)."""
-    if isinstance(x, _SCALARS):
-        return None
-    return _vec_arg(x, fn)
-
-
 def _int_arg(x, fn: str) -> int:
     if isinstance(x, bool):
         return int(x)
@@ -215,67 +197,205 @@ def _int_arg(x, fn: str) -> int:
     raise RslTypeError(f"{fn} expects an integer, got {_kind(x)}")
 
 
-def _axis_args(args, fn: str):
-    if len(args) != 2:
-        raise RslValueError(f"{fn}(matrix, axis) takes exactly 2 arguments")
-    m = args[0]
-    if not (isinstance(m, np.ndarray) and m.ndim == 2):
-        raise RslTypeError(f"{fn}() expects a matrix, got {_kind(m)}")
-    if m.size == 0:
-        raise RslValueError(f"{fn}() of an empty matrix")
-    axis = _int_arg(args[1], fn)
-    if axis not in (0, 1):
-        raise RslValueError(f"{fn}() axis must be 0 or 1")
-    return m, axis
+# -- builtins ----------------------------------------------------------------
+# An implementation takes the builtin's name, for its messages, and then the
+# call's arguments, whose count the slow path has already checked.
 
 
-def _unary_math(args, fn: str, scalar_fn, array_fn):
-    if len(args) != 1:
-        raise RslValueError(f"{fn}() takes exactly 1 argument")
-    x = args[0]
-    if isinstance(x, _SCALARS):
-        try:
-            return scalar_fn(float(x))
-        except (ValueError, OverflowError) as exc:
-            raise RslNumericError(f"{fn}(): {exc}")
-    if isinstance(x, np.ndarray):
-        return array_fn(x)
-    raise RslTypeError(f"{fn}() expects numeric input, got {_kind(x)}")
+class _Builtin(NamedTuple):
+    fn: Callable
+    arity: range  # the argument counts it accepts
+    usage: str  # follows the name in the arity error
+    inline: Callable | None = None  # inline(gen, t, args) -> (tests, lines) | None
+    call: Callable | None = None  # the slow path; _declare binds it
 
 
-def _b_minmax(args, fn: str):
-    npfn = np.minimum if fn == "min" else np.maximum
-    redfn = _MIN if fn == "min" else _MAX
-    if len(args) == 0:
-        raise RslValueError(f"{fn}() needs at least 1 argument")
-    if len(args) == 1:
-        x = args[0]
+def _fixed(n: int, fn, params: str = "", inline=None) -> _Builtin:
+    """A builtin of exactly ``n`` arguments; the arity error names them as
+    ``params`` (a single argument goes unnamed)."""
+    usage = f"({params}) takes exactly {n} argument{'s' * (n > 1)}"
+    return _Builtin(fn, range(n, n + 1), usage, inline)
+
+
+def _finite(t: str) -> str:
+    return f"if not -MAG < {t} < MAG: {t} = G({t})"
+
+
+def _unary(scalar, array, domain: str = "") -> _Builtin:
+    """An elementwise one-argument builtin. ``domain``, a test on the float
+    ``{a}``, is where ``scalar`` neither raises nor leaves the finite range;
+    there the generated code calls it inline."""
+
+    def fn(name, x):
         if isinstance(x, _SCALARS):
-            return float(x)
-        return float(redfn(_vec_arg(x, fn), None))
-    out = args[0]
-    _num_only(out, fn)
-    for nxt in args[1:]:
-        _num_only(nxt, fn)
-        try:
-            out = npfn(out, nxt)
-        except ValueError as exc:
-            raise RslValueError(f"{fn}(): {exc}")
-    if isinstance(out, np.ndarray):
-        return out
-    return float(out)
+            try:
+                return scalar(float(x))
+            except ValueError as exc:  # math domain error
+                raise RslNumericError(f"{name}(): {exc}")
+        if isinstance(x, np.ndarray):
+            return array(x)
+        raise RslTypeError(f"{name}() expects numeric input, got {_kind(x)}")
+
+    def inline(gen, t, args):
+        if len(args) != 1:
+            return None
+        (a,) = args
+        return gen.is_float(a) + [domain.format(a=a)], [f"{t} = {gen.const(scalar)}({a})"]
+
+    return _fixed(1, fn, inline=inline if domain else None)
 
 
-def _b_corr(args):
-    if len(args) != 2:
-        raise RslValueError("corr(a, b) takes exactly 2 arguments")
-    a, b = args
-    if not (isinstance(a, np.ndarray) and a.ndim == 1):
-        raise RslTypeError("corr() expects vectors")
-    if not (isinstance(b, np.ndarray) and b.ndim == 1):
-        raise RslTypeError("corr() expects vectors")
+def _reduction(array, scalar=float) -> _Builtin:
+    """A one-argument reduction; a scalar counts as one-element data."""
+
+    def fn(name, x):
+        if isinstance(x, _SCALARS):
+            return scalar(x)
+        return float(array(_vec_arg(x, name)))
+
+    return _fixed(1, fn)
+
+
+def _mean(v):
+    return float(_SUM(v, None)) / v.size if v.dtype is _F64 else np.mean(v)
+
+
+def _extreme(pairwise, reduce, op: str) -> _Builtin:
+    """min or max: of one collection, or elementwise over its arguments."""
+
+    def fn(name, first, *rest):
+        if not rest:
+            if isinstance(first, _SCALARS):
+                return float(first)
+            return float(reduce(_vec_arg(first, name), None))
+        out = _num_only(first, name)
+        for nxt in rest:
+            _num_only(nxt, name)
+            try:
+                out = pairwise(out, nxt)
+            except ValueError as exc:
+                raise RslValueError(f"{name}(): {exc}")
+        return out if isinstance(out, np.ndarray) else float(out)
+
+    def inline(gen, t, args):
+        # numpy's minimum/maximum of two floats: the second operand on ties
+        # (signed zeros), NaN from either side.
+        if len(args) != 2:
+            return None
+        a, b = args
+        first = f"{a} if {a} {op} {b} or {a} != {a} else {b}"
+        return gen.is_float(a, b), [f"{t} = {first}", _finite(t)]
+
+    return _Builtin(fn, range(1, sys.maxsize), "() needs at least 1 argument", inline)
+
+
+def _along(reduce):
+    """A reduction of a non-empty matrix along axis 0 or 1."""
+
+    def fn(name, m, axis):
+        if not (isinstance(m, np.ndarray) and m.ndim == 2):
+            raise RslTypeError(f"{name}() expects a matrix, got {_kind(m)}")
+        if m.size == 0:
+            raise RslValueError(f"{name}() of an empty matrix")
+        axis = _int_arg(axis, name)
+        if axis not in (0, 1):
+            raise RslValueError(f"{name}() axis must be 0 or 1")
+        return reduce(m, axis)
+
+    return fn
+
+
+def _mean_along(m, axis):
+    if m.dtype is _F64:  # what np.mean computes, without its wrapper
+        return _SUM(m, axis) / m.shape[axis]
+    return np.mean(m, axis=axis)
+
+
+_norm_along = _along(lambda m, axis: np.sqrt(_SUM(m * m, axis)))
+
+
+def _norm(name, x, *axis):
+    if axis:
+        return _norm_along("norm_axis", x, *axis)
+    if isinstance(x, _SCALARS):
+        return abs(float(x))
+    return float(np.sqrt(_SUM(_vec_arg(x, name) ** 2, None)))
+
+
+def _inline_norm(gen, t, args):
+    if len(args) != 1:
+        return None
+    (a,) = args
+    test = f"type({a}) is ND and {a}.dtype is F64 and {a}.size"
+    return [test], [f"{t} = SQRT(SUM({a} * {a}, None))", _finite(t)]
+
+
+def _of_vector(op):
+    def fn(name, x):
+        v = _vec_arg(x, name)
+        if v.ndim != 1:
+            raise RslTypeError(f"{name}() expects a vector")
+        return op(v)
+
+    return fn
+
+
+def _quantile(name, v, q):
+    v = _vec_arg(v, name)
+    if not isinstance(q, _SCALARS) or not 0.0 <= float(q) <= 1.0:
+        raise RslValueError(f"{name}() q must be a scalar in [0, 1]")
+    return float(np.quantile(v, float(q)))
+
+
+def _clip(name, x, lo, hi):
+    if not isinstance(lo, _SCALARS) or not isinstance(hi, _SCALARS):
+        raise RslTypeError(f"{name}() bounds must be scalars")
+    lo, hi = float(lo), float(hi)
+    if lo > hi:
+        raise RslValueError(f"{name}() requires lo <= hi")
+    if isinstance(x, _SCALARS):
+        return float(min(max(float(x), lo), hi))
+    if isinstance(x, np.ndarray):
+        return np.clip(x, lo, hi)
+    raise RslTypeError(f"{name}() expects numeric input, got {_kind(x)}")
+
+
+def _inline_clip(gen, t, args):
+    # Python's max(x, lo) then min(., hi), as the scalar clip does.
+    if len(args) != 3:
+        return None
+    x, lo, hi = args
+    tests = gen.is_float(x, lo, hi)
+    lo_v, hi_v = gen.known(lo), gen.known(hi)
+    if not (type(lo_v) is float is type(hi_v) and lo_v <= hi_v):
+        tests.append(f"{lo} <= {hi}")
+    lines = [f"{t} = {lo} if {lo} > {x} else {x}", f"{t} = {hi} if {hi} < {t} else {t}"]
+    return tests, lines + [_finite(t)]
+
+
+def _len(name, x):
+    if isinstance(x, np.ndarray):
+        return int(x.shape[0])
+    if isinstance(x, dict):
+        return len(x)
+    raise RslTypeError(f"{name}() of {_kind(x)}")
+
+
+def _dot(name, a, b):
+    if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
+        raise RslTypeError(f"{name}() expects vectors or matrices")
+    try:
+        r = np.dot(a, b)
+    except ValueError as exc:
+        raise RslValueError(f"{name}(): {exc}")
+    return float(r) if r.ndim == 0 else r
+
+
+def _corr(name, a, b):
+    if not all(isinstance(v, np.ndarray) and v.ndim == 1 for v in (a, b)):
+        raise RslTypeError(f"{name}() expects vectors")
     if a.shape != b.shape:
-        raise RslValueError("corr() vectors must have equal length")
+        raise RslValueError(f"{name}() vectors must have equal length")
     if a.size < 2:
         return 0.0
     sa = float(np.std(a))
@@ -283,153 +403,68 @@ def _b_corr(args):
     if sa == 0.0 or sb == 0.0:
         return 0.0  # zero-variance convention
     c = float(np.mean((a - np.mean(a)) * (b - np.mean(b))) / (sa * sb))
-    if not math.isfinite(c):
-        return 0.0
-    return c
+    return c if math.isfinite(c) else 0.0
 
 
-def _call_builtin(name: str, args: list):
-    try:
-        return _builtin(name, args)
-    except OverflowError as exc:  # an int argument beyond float range
-        raise RslNumericError(f"{name}(): {exc}")
+def _roll(name, x, k):
+    return np.roll(_vec_arg(x, name), _int_arg(k, f"{name}()"))
 
 
-def _builtin(name: str, args: list):
-    if name == "abs":
-        return _unary_math(args, "abs", abs, np.abs)
-    if name in ("min", "max"):
-        return _b_minmax(args, name)
-    if name == "sum":
-        if len(args) != 1:
-            raise RslValueError("sum() takes exactly 1 argument")
-        x = _reduce_arg(args[0], "sum")
-        return float(args[0]) if x is None else float(_SUM(x, None))
-    if name == "mean":
-        if len(args) != 1:
-            raise RslValueError("mean() takes exactly 1 argument")
-        x = _reduce_arg(args[0], "mean")
-        if x is None:
-            return float(args[0])
-        return float(_SUM(x, None)) / x.size if x.dtype is _F64 else float(np.mean(x))
-    if name == "std":
-        if len(args) != 1:
-            raise RslValueError("std() takes exactly 1 argument")
-        x = _reduce_arg(args[0], "std")
-        return 0.0 if x is None else float(np.std(x))
-    if name == "median":
-        if len(args) != 1:
-            raise RslValueError("median() takes exactly 1 argument")
-        x = _reduce_arg(args[0], "median")
-        return float(args[0]) if x is None else float(np.median(x))
-    if name == "quantile":
-        if len(args) != 2:
-            raise RslValueError("quantile(v, q) takes exactly 2 arguments")
-        v = _vec_arg(args[0], "quantile")
-        q = args[1]
-        if not isinstance(q, _SCALARS) or not 0.0 <= float(q) <= 1.0:
-            raise RslValueError("quantile() q must be a scalar in [0, 1]")
-        return float(np.quantile(v, float(q)))
-    if name == "ptp":
-        if len(args) != 1:
-            raise RslValueError("ptp() takes exactly 1 argument")
-        x = _reduce_arg(args[0], "ptp")
-        return 0.0 if x is None else float(_MAX(x, None) - _MIN(x, None))
-    if name == "clip":
-        if len(args) != 3:
-            raise RslValueError("clip(x, lo, hi) takes exactly 3 arguments")
-        x, lo, hi = args
-        if not isinstance(lo, _SCALARS) or not isinstance(hi, _SCALARS):
-            raise RslTypeError("clip() bounds must be scalars")
-        if float(lo) > float(hi):
-            raise RslValueError("clip() requires lo <= hi")
-        if isinstance(x, _SCALARS):
-            return float(min(max(float(x), float(lo)), float(hi)))
-        if isinstance(x, np.ndarray):
-            return np.clip(x, float(lo), float(hi))
-        raise RslTypeError(f"clip() expects numeric input, got {_kind(x)}")
-    if name == "tanh":
-        return _unary_math(args, "tanh", math.tanh, np.tanh)
-    if name == "exp":
-        return _unary_math(args, "exp", math.exp, np.exp)
-    if name == "log":
-        return _unary_math(args, "log", math.log, np.log)
-    if name == "log1p":
-        return _unary_math(args, "log1p", math.log1p, np.log1p)
-    if name == "sqrt":
-        return _unary_math(args, "sqrt", math.sqrt, np.sqrt)
-    if name == "sign":
-        return _unary_math(
-            args, "sign", lambda v: float(np.sign(v)), np.sign
-        )
-    if name == "norm":
-        if len(args) == 2:
-            m, axis = _axis_args(args, "norm_axis")
-            return np.sqrt(_SUM(m * m, axis))
-        if len(args) != 1:
-            raise RslValueError("norm() takes 1 argument (or norm_axis(m, axis))")
-        x = args[0]
-        if isinstance(x, _SCALARS):
-            return abs(float(x))
-        return float(np.sqrt(_SUM(_vec_arg(x, "norm") ** 2, None)))
-    if name in ("mean_axis", "std_axis", "min_axis", "max_axis", "norm_axis"):
-        m, axis = _axis_args(args, name)
-        if name == "mean_axis":
-            if m.dtype is _F64:  # what np.mean computes, without its wrapper
-                return _SUM(m, axis) / m.shape[axis]
-            return np.mean(m, axis=axis)
-        if name == "std_axis":
-            return np.std(m, axis=axis)
-        if name == "min_axis":
-            return _MIN(m, axis)
-        if name == "max_axis":
-            return _MAX(m, axis)
-        return np.sqrt(_SUM(m * m, axis))
-    if name == "argsort":
-        if len(args) != 1:
-            raise RslValueError("argsort() takes exactly 1 argument")
-        v = _vec_arg(args[0], "argsort")
-        if v.ndim != 1:
-            raise RslTypeError("argsort() expects a vector")
-        return np.argsort(v, kind="stable").astype(float)
-    if name == "sort":
-        if len(args) != 1:
-            raise RslValueError("sort() takes exactly 1 argument")
-        v = _vec_arg(args[0], "sort")
-        if v.ndim != 1:
-            raise RslTypeError("sort() expects a vector")
-        return np.sort(v)
-    if name == "len":
-        if len(args) != 1:
-            raise RslValueError("len() takes exactly 1 argument")
-        x = args[0]
-        if isinstance(x, np.ndarray):
-            return int(x.shape[0])
-        if isinstance(x, dict):
-            return len(x)
-        raise RslTypeError(f"len() of {_kind(x)}")
-    if name == "dot":
-        if len(args) != 2:
-            raise RslValueError("dot(a, b) takes exactly 2 arguments")
-        a, b = args
-        if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
-            raise RslTypeError("dot() expects vectors or matrices")
+def _slow_path(name: str, b: _Builtin):
+    """The call the generated code makes: the arity check, then the
+    implementation; an int argument beyond float range is a numeric error."""
+    fn, arity, usage = b.fn, b.arity, name + b.usage
+
+    def call(*args):
+        if len(args) not in arity:
+            raise RslValueError(usage)
         try:
-            r = np.dot(a, b)
-        except ValueError as exc:
-            raise RslValueError(f"dot(): {exc}")
-        if r.ndim == 0:
-            return float(r)
-        return r
-    if name == "corr":
-        return _b_corr(args)
-    if name == "roll":
-        if len(args) != 2:
-            raise RslValueError("roll(x, k) takes exactly 2 arguments")
-        x = _vec_arg(args[0], "roll")
-        k = _int_arg(args[1], "roll()")
-        return np.roll(x, k)
-    raise RslTypeError(f"unknown builtin {name!r}")  # pragma: no cover
+            return fn(name, *args)
+        except OverflowError as exc:
+            raise RslNumericError(f"{name}(): {exc}")
+
+    return call
+
+
+def _declare(table: dict) -> dict:
+    return {name: b._replace(call=_slow_path(name, b)) for name, b in table.items()}
+
+
+# The builtins: each one's arity, implementation and inline fast path.
+_BUILTINS = _declare({
+    "abs": _unary(abs, np.abs, "-MAG < {a} < MAG"),
+    "tanh": _unary(math.tanh, np.tanh, "-MAG < {a} < MAG"),
+    "exp": _unary(math.exp, np.exp, "{a} < 709.0"),
+    "log": _unary(math.log, np.log, "0.0 < {a} < MAG"),
+    "log1p": _unary(math.log1p, np.log1p, "-1.0 < {a} < MAG"),
+    "sqrt": _unary(math.sqrt, np.sqrt, "0.0 <= {a} < MAG"),
+    "sign": _unary(lambda v: float(np.sign(v)), np.sign),
+    "min": _extreme(np.minimum, _MIN, "<"),
+    "max": _extreme(np.maximum, _MAX, ">"),
+    "sum": _reduction(lambda v: _SUM(v, None)),
+    "mean": _reduction(_mean),
+    "std": _reduction(np.std, lambda x: 0.0),
+    "median": _reduction(np.median),
+    "ptp": _reduction(lambda v: _MAX(v, None) - _MIN(v, None), lambda x: 0.0),
+    "quantile": _fixed(2, _quantile, "v, q"),
+    "clip": _fixed(3, _clip, "x, lo, hi", _inline_clip),
+    "norm": _Builtin(
+        _norm, range(1, 3), "() takes 1 argument (or norm_axis(m, axis))", _inline_norm
+    ),
+    "mean_axis": _fixed(2, _along(_mean_along), "matrix, axis"),
+    "std_axis": _fixed(2, _along(lambda m, axis: np.std(m, axis=axis)), "matrix, axis"),
+    "min_axis": _fixed(2, _along(_MIN), "matrix, axis"),
+    "max_axis": _fixed(2, _along(_MAX), "matrix, axis"),
+    "norm_axis": _fixed(2, _norm_along, "matrix, axis"),
+    "argsort": _fixed(1, _of_vector(lambda v: np.argsort(v, kind="stable").astype(float))),
+    "sort": _fixed(1, _of_vector(np.sort)),
+    "len": _fixed(1, _len),
+    "dot": _fixed(2, _dot, "a, b"),
+    "corr": _fixed(2, _corr, "a, b"),
+    "roll": _fixed(2, _roll, "x, k"),
+})
+
+BUILTINS = frozenset(_BUILTINS)
 
 
 # -- helpers the generated code calls ---------------------------------------
@@ -553,22 +588,9 @@ _RUNTIME = {
     "type": type, "float": float, "int": int, "MAG": _MAG, "U": _UNSET,
     "ND": np.ndarray, "F64": _F64, "SUM": _SUM,
     "O": _over_budget, "N": _undefined, "M": _missing, "T": _truth, "G": _guard,
-    "B": _binop, "C": _compare, "NUM": _num_only, "CALL": _call_builtin,
-    "IDX": _index, "VEC": _vector, "RV": _record_value, "SI": _setitem_target,
-    "SK": _setitem_key, "ST": _store, "R": _loop_range,
-    "ABS": abs, "TANH": math.tanh, "EXP": math.exp, "LOG": math.log,
-    "LOG1P": math.log1p, "SQRT": math.sqrt,
-}
-
-# One-argument builtins inlined for finite floats inside the domain where the
-# math function neither raises nor leaves the finite range.
-_UNARY_FAST = {
-    "abs": ("ABS", "-MAG < {a} < MAG"),
-    "tanh": ("TANH", "-MAG < {a} < MAG"),
-    "exp": ("EXP", "{a} < 709.0"),
-    "log": ("LOG", "0.0 < {a} < MAG"),
-    "log1p": ("LOG1P", "-1.0 < {a} < MAG"),
-    "sqrt": ("SQRT", "0.0 <= {a} < MAG"),
+    "B": _binop, "C": _compare, "NUM": _num_only, "IDX": _index, "VEC": _vector,
+    "RV": _record_value, "SI": _setitem_target, "SK": _setitem_key, "ST": _store,
+    "R": _loop_range, "SQRT": math.sqrt,
 }
 
 
@@ -818,41 +840,19 @@ class _Generator:
         emit(f"else: {t} = B({k}, {a}, {b})")
 
     def call(self, fn: _Fn, name: str, args: list[str]) -> str:
+        """The builtin's inline path where it has one for these operands,
+        else its slow path."""
+        b = _BUILTINS[name]
         t = fn.temp()
-        slow = f"G(CALL({self.const(name)}, [{', '.join(args)}]))"
-        emit = fn.lines.append
-        if name in _UNARY_FAST and len(args) == 1:
-            f, domain = _UNARY_FAST[name]
-            a = args[0]
-            tests = " and ".join(self.is_float(a) + [domain.format(a=a)])
-            emit(f"{t} = {f}({a}) if {tests} else {slow}")
+        slow = f"G({self.const(b.call)}({', '.join(args)}))"
+        fast = b.inline(self, t, args) if b.inline else None
+        if fast is None:
+            fn.lines.append(f"{t} = {slow}")
             return t
-        if name == "norm" and len(args) == 1:
-            a = args[0]
-            emit(f"if type({a}) is ND and {a}.dtype is F64 and {a}.size:")
-            emit(f"    {t} = SQRT(SUM({a} * {a}, None))")
-        elif name in ("min", "max") and len(args) == 2:
-            # numpy's minimum/maximum: the second operand on ties (signed
-            # zeros), NaN from either side.
-            a, b = args
-            emit(f"if {' and '.join(self.is_float(a, b)) or 'True'}:")
-            first = f"{a} {'<>'[name == 'max']} {b} or {a} != {a}"
-            emit(f"    {t} = {a} if {first} else {b}")
-        elif name == "clip" and len(args) == 3:
-            # Python's max(x, lo) then min(., hi), as the scalar clip does.
-            x, lo, hi = args
-            tests = self.is_float(x, lo, hi)
-            lo_v, hi_v = self.known(lo), self.known(hi)
-            if not (type(lo_v) is float is type(hi_v) and lo_v <= hi_v):
-                tests.append(f"{lo} <= {hi}")
-            emit(f"if {' and '.join(tests) or 'True'}:")
-            emit(f"    {t} = {lo} if {lo} > {x} else {x}")
-            emit(f"    {t} = {hi} if {hi} < {t} else {t}")
-        else:
-            emit(f"{t} = {slow}")
-            return t
-        emit(f"    if not -MAG < {t} < MAG: {t} = G({t})")
-        emit(f"else: {t} = {slow}")
+        tests, lines = fast
+        fn.lines.append(f"if {' and '.join(tests) or 'True'}:")
+        fn.lines.extend(f"    {line}" for line in lines)
+        fn.lines.append(f"else: {t} = {slow}")
         return t
 
 

@@ -9,48 +9,16 @@ Node shapes:
   ("if", [(cond, block), ...], else_block|None) ("for", var, count, block)
   ("return", total, components)
 
-The grammar is closed: only ``range(...)`` loops, only known builtins, no
-function definitions, no attribute access except ``ctx.<field>`` and
-``ctx.get(...)``. Comparison chains are rejected.
+The grammar is closed: only ``range(...)`` loops, only the builtins that
+``interp`` declares, no function definitions, no attribute access except
+``ctx.<field>`` and ``ctx.get(...)``. Comparison chains are rejected.
 """
 
 from __future__ import annotations
 
 from .errors import RslParseError
+from .interp import BUILTINS
 from .lexer import Token, tokenize
-
-BUILTINS = frozenset(
-    {
-        "abs",
-        "min",
-        "max",
-        "sum",
-        "mean",
-        "std",
-        "median",
-        "quantile",
-        "ptp",
-        "clip",
-        "tanh",
-        "exp",
-        "log",
-        "log1p",
-        "sqrt",
-        "sign",
-        "norm",
-        "argsort",
-        "sort",
-        "len",
-        "dot",
-        "corr",
-        "roll",
-        "mean_axis",
-        "std_axis",
-        "min_axis",
-        "max_axis",
-        "norm_axis",
-    }
-)
 
 _REJECTED_CONSTRUCTS = {
     "def": "function definitions are not allowed",
