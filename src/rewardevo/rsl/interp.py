@@ -412,7 +412,8 @@ def _roll(name, x, k):
 
 def _slow_path(name: str, b: _Builtin):
     """The call the generated code makes: the arity check, then the
-    implementation; an int argument beyond float range is a numeric error."""
+    implementation. An int argument beyond float range is a numeric error;
+    an array whose dtype numpy cannot handle there (bool) is a type error."""
     fn, arity, usage = b.fn, b.arity, name + b.usage
 
     def call(*args):
@@ -422,6 +423,8 @@ def _slow_path(name: str, b: _Builtin):
             return fn(name, *args)
         except OverflowError as exc:
             raise RslNumericError(f"{name}(): {exc}")
+        except TypeError as exc:  # numpy has no loop for the operand dtype
+            raise RslTypeError(f"{name}(): {exc}")
 
     return call
 

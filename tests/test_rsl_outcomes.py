@@ -188,7 +188,8 @@ BUILTIN_CALLS = [
         for call in (
             f"{fn}(ctx.x)", f"{fn}(ctx.p)", f"{fn}(ctx.i)", f"{fn}(ctx.b)",
             f"{fn}(ctx.z)", f"{fn}(ctx.nz)", f"{fn}(1.5)", (f"{fn}(ctx.v)", V3),
-            (f"{fn}(ctx.m)", M23), (f"{fn}(ctx.iv)", V3), f"{fn}([])", f"{fn}()",
+            (f"{fn}(ctx.m)", M23), (f"{fn}(ctx.iv)", V3), (f"{fn}(ctx.bv)", V3),
+            f"{fn}([])", f"{fn}()",
             f"{fn}(ctx.x, ctx.x)", f"{fn}(ctx.r)", f'{fn}("s")', f"{fn}({HUGE})",
             f"{fn}(ctx.nan)", f"{fn}(ctx.inf)", f"{fn}(-1.0)", f"{fn}(1000.0)",
         )
@@ -219,6 +220,7 @@ BUILTIN_CALLS = [
     ),
     "quantile(ctx.v, 0.25)", "quantile(ctx.v, 0)", "quantile(ctx.v, 1)",
     "quantile(ctx.v, ctx.b)", "quantile(ctx.m, 0.5)", "quantile(ctx.iv, 0.5)",
+    "quantile(ctx.bv, 0.5)",
     "quantile(ctx.v, 1.5)", "quantile(ctx.v, -0.1)", "quantile(ctx.v, ctx.nan)",
     "quantile(ctx.v, ctx.v)", "quantile(ctx.v, ctx.r)", "quantile([], 0.5)",
     "quantile(ctx.x, 0.5)", "quantile(ctx.r, 0.5)", "quantile(ctx.v)",
