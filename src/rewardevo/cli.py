@@ -108,20 +108,25 @@ def _read_reward(path_arg: str) -> tuple[Path, rsl.RewardProgram]:
     return path, program
 
 
-def _profile_evaluator(args) -> EvaluationScheduler:
+def _profile_evaluator(args, task_ids: list[str]) -> EvaluationScheduler:
     """An uncached evaluator under the --profile budget, with --fe-budget and
-    --train-episodes overriding the profile's values."""
+    --train-episodes overriding the profile's values. A budget or dimension
+    that the tasks cannot run is a config error, raised before any
+    evaluation."""
     base = BUDGET_PROFILES[args.profile]
-    budget = EvalBudget(
-        gamma=base.gamma,
-        fe_budget=args.fe_budget or base.fe_budget,
-        train_episodes=(
-            args.train_episodes
-            if args.train_episodes is not None
-            else base.train_episodes
-        ),
-    )
-    suite = make_suite(args.dimension, args.suite_seed)
+    try:
+        budget = EvalBudget(
+            gamma=base.gamma,
+            fe_budget=base.fe_budget if args.fe_budget is None else args.fe_budget,
+            train_episodes=(
+                base.train_episodes if args.train_episodes is None else args.train_episodes
+            ),
+        )
+        suite = make_suite(args.dimension, args.suite_seed)
+        for task_id in task_ids:  # raises when the budget is below two populations
+            envs.make_task(task_id, suite, max_fes=budget.fe_budget)
+    except ValueError as exc:
+        raise CliError(f"bad evaluation settings: {exc}", EXIT_CONFIG)
     return EvaluationScheduler(suite, budget, args.seed)
 
 
@@ -226,7 +231,7 @@ def cmd_eval_reward(args) -> int:
             EXIT_CONFIG,
         )
 
-    report = _profile_evaluator(args).run([(program, task_id)])[0]
+    report = _profile_evaluator(args, [task_id]).run([(program, task_id)])[0]
     doc = report.to_dict()
     doc["task_id"] = task_id
     doc["reward_hash"] = program.content_hash
@@ -252,6 +257,7 @@ def cmd_transfer(args) -> int:
             raise CliError(f"unknown task {tid!r}", EXIT_CONFIG)
     if source_task == target_task:
         raise CliError("source and target tasks must be distinct", EXIT_CONFIG)
+    evaluator = _profile_evaluator(args, [target_task])
 
     provider_cfg = None
     if args.provider_config:
@@ -271,7 +277,7 @@ def cmd_transfer(args) -> int:
         return EXIT_PROVIDER
     thought, source, adapted = result
 
-    adapted_report, anchor_report = _profile_evaluator(args).run(
+    adapted_report, anchor_report = evaluator.run(
         [(adapted, target_task), (handcrafted_reward(target_task), target_task)]
     )
 

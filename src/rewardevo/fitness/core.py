@@ -30,8 +30,10 @@ class EvalBudget:
     def __post_init__(self):
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
-        if self.fe_budget < 1 or self.train_episodes < 0:
-            raise ValueError("bad budget")
+        if self.fe_budget < 1:
+            raise ValueError("fe_budget must be >= 1")
+        if self.train_episodes < 0:
+            raise ValueError("train_episodes must be >= 0")
 
     def key_parts(self) -> tuple:
         return (self.gamma, self.fe_budget, self.train_episodes)

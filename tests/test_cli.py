@@ -35,6 +35,18 @@ def small_config(tmp_path):
 # A replay line that is not JSON, and one without a template id.
 MALFORMED_REPLAY_LINES = ["{x", json.dumps({"response": reward_response(0.1)})]
 
+# Evaluation settings that no PSO evaluation can run: a budget below two
+# populations of 100, a budget or training count out of range, a
+# one-dimensional suite.
+BAD_PSO_SETTINGS = [
+    ["--fe-budget", "150", "--dimension", "2"],
+    ["--fe-budget", "0", "--dimension", "2"],
+    ["--fe-budget", "-5", "--dimension", "2"],
+    ["--train-episodes", "-1", "--fe-budget", "300", "--dimension", "2"],
+    ["--dimension", "1", "--fe-budget", "300"],
+]
+BAD_PSO_IDS = ["fe-150", "fe-0", "fe-neg", "train-neg", "dimension-1"]
+
 
 def write_replay(tmp_path, cfg):
     script = full_run_script(cfg["tasks"], cfg["niche_size"], cfg["g_max"])
@@ -249,6 +261,13 @@ class TestEvalReward:
         rc = cli.main(["eval-reward", str(bad), "--task", PSO])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("settings", BAD_PSO_SETTINGS, ids=BAD_PSO_IDS)
+    def test_bad_settings_are_config_errors(self, settings, capsys):
+        path = envs.tasks.FIXTURES_DIR / "rewards" / "handcrafted" / f"{PSO}.rsl"
+        rc = cli.main(["eval-reward", str(path), *settings])
+        assert rc == EXIT_CONFIG
+        assert "bad evaluation settings" in capsys.readouterr().err
+
     def test_foreign_fields_rejected(self, tmp_path):
         bad = tmp_path / "foreign.rsl"
         bad.write_text("return ctx.gbest_cost, {}")  # DE field
@@ -304,6 +323,17 @@ class TestTransfer:
         )
         assert rc == EXIT_PROVIDER
         assert not out.exists()
+
+    @pytest.mark.parametrize("settings", BAD_PSO_SETTINGS, ids=BAD_PSO_IDS)
+    def test_bad_settings_rejected_before_the_provider(self, settings, monkeypatch, capsys):
+        def no_provider(*args):
+            raise AssertionError("the provider was built before the settings were checked")
+
+        monkeypatch.setattr(cli, "_build_provider", no_provider)
+        path = envs.tasks.FIXTURES_DIR / "rewards" / "handcrafted" / f"{DAS}.rsl"
+        rc = cli.main(["transfer", str(path), "--target-task", PSO, "--replay", "x", *settings])
+        assert rc == EXIT_CONFIG
+        assert "bad evaluation settings" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
     def test_bad_provider_config_is_config_error(self, tmp_path, content, capsys):
