@@ -10,7 +10,6 @@ index))`` in the fixed order f_opt, base shift, R, Q, family extras.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -442,11 +441,6 @@ def evaluate(inst: ProblemInstance, point: Sequence[float]) -> float:
     return float(_raw(inst, pt[None, :])[0] + inst.optimum_value)
 
 
-def optimum(inst: ProblemInstance) -> tuple[np.ndarray, float]:
-    """The (argmin, min) pair fixed at construction."""
-    return inst.optimum_point, inst.optimum_value
-
-
 @dataclass(eq=False)
 class ProblemSuite:
     """Ordered train/test instance lists with disjoint families."""
@@ -474,9 +468,6 @@ class ProblemSuite:
             "train": rows(self.train_instances),
             "test": rows(self.test_instances),
         }
-
-    def manifest_json(self) -> str:
-        return json.dumps(self.manifest(), indent=2, sort_keys=True)
 
 
 def make_suite(

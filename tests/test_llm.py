@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import golden_check
-from rewardevo import llm
+from rewardevo import llm, rsl
 from rewardevo.llm import (
     ChatExchange,
     LiveProvider,
@@ -86,6 +87,17 @@ class TestTemplates:
         golden_check(
             golden_dir / f"template_{template_id}.txt", rendered, regen_golden
         )
+
+
+    def test_language_guide_names_exactly_the_builtins(self):
+        """The guide's ``Builtins:`` sentence lists the evaluator's table; the
+        guide's text is pinned by the prompt golden, so it cannot follow a
+        change to the table on its own."""
+        guide = llm.language_guide()
+        sentence = guide[guide.index("Builtins:") + len("Builtins:"):]
+        sentence = sentence[: sentence.index(".\n")]
+        prose = {"plus", "matrix", "axis", "reductions", "m"}
+        assert set(re.findall(r"[a-z][a-z0-9_]*", sentence)) - prose == rsl.BUILTINS
 
 
 class TestParseIndividual:

@@ -14,7 +14,6 @@ from rewardevo.problems import (
     evaluate_many,
     make_instance,
     make_suite,
-    optimum,
 )
 
 
@@ -87,10 +86,10 @@ def test_discus_closed_form_oracle():
 
 def test_optimum_accessor_and_distinct_seeds():
     inst = make_instance("rastrigin_separable", dimension=5, instance_seed=9)
-    p1, v1 = optimum(inst)
-    p2, v2 = optimum(inst)
-    assert np.array_equal(p1, p2) and v1 == v2
-    assert evaluate(inst, p1) == pytest.approx(v1, abs=1e-9)
+    again = make_instance("rastrigin_separable", dimension=5, instance_seed=9)
+    assert np.array_equal(inst.optimum_point, again.optimum_point)
+    assert inst.optimum_value == again.optimum_value
+    assert evaluate(inst, inst.optimum_point) == pytest.approx(inst.optimum_value, abs=1e-9)
     # 100 seed pairs give distinct optima
     points = [
         make_instance("sphere", 5, instance_seed=s).optimum_point for s in range(100)
@@ -139,9 +138,9 @@ class TestSuite:
     def test_determinism(self):
         a = make_suite(dimension=10, seed=7)
         b = make_suite(dimension=10, seed=7)
-        assert a.manifest_json() == b.manifest_json()
+        assert a.manifest() == b.manifest()
         c = make_suite(dimension=10, seed=8)
-        assert a.manifest_json() != c.manifest_json()
+        assert a.manifest() != c.manifest()
 
     def test_instances_per_family(self):
         suite = make_suite(dimension=5, seed=1, instances_per_family=2)
@@ -150,7 +149,7 @@ class TestSuite:
 
     def test_manifest_schema(self):
         suite = make_suite(dimension=5, seed=1)
-        doc = json.loads(suite.manifest_json())
+        doc = suite.manifest()
         for row in doc["train"] + doc["test"]:
             assert set(row) == {
                 "function_id",
@@ -163,7 +162,7 @@ class TestSuite:
         suite = make_suite(dimension=10, seed=7)
         golden_check(
             golden_dir / "suite_manifest_d10_seed7.json",
-            suite.manifest_json() + "\n",
+            json.dumps(suite.manifest(), indent=2, sort_keys=True) + "\n",
             regen_golden,
         )
 
