@@ -34,7 +34,7 @@ from .fitness import (
     FitnessCache,
     compute_sne,
 )
-from .problems import make_suite
+from .problems import ProblemSuite, make_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,18 +85,6 @@ def _build_provider(provider_cfg: dict | None, replay: str | None):
     return llm.LiveProvider(config)
 
 
-def _build_evaluator(config: RunConfig, cache_dir: Path) -> EvaluationScheduler:
-    budget = EvalBudget(
-        gamma=config.gamma,
-        fe_budget=config.fe_budget,
-        train_episodes=config.train_episodes,
-    )
-    suite = make_suite(config.dimension, config.suite_seed, config.instances_per_family)
-    return EvaluationScheduler(
-        suite, budget, config.seed, FitnessCache(cache_dir), config.workers
-    )
-
-
 def _read_reward(path_arg: str) -> tuple[Path, rsl.RewardProgram]:
     path = Path(path_arg)
     if not path.exists():
@@ -108,25 +96,32 @@ def _read_reward(path_arg: str) -> tuple[Path, rsl.RewardProgram]:
     return path, program
 
 
-def _profile_evaluator(args, task_ids: list[str]) -> EvaluationScheduler:
-    """An uncached evaluator under the --profile budget, with --fe-budget and
-    --train-episodes overriding the profile's values. A budget or dimension
-    that the tasks cannot run is a config error, raised before any
-    evaluation."""
-    base = BUDGET_PROFILES[args.profile]
+def _evaluation(
+    task_ids: list[str], dimension: int, suite_seed: int, instances_per_family=1, **budget_parts
+) -> tuple[EvalBudget, ProblemSuite]:
+    """The budget and suite of an evaluation, with every task it will score
+    built once on them. Settings that the budget, the suite or a task's
+    population reject are a config error, raised before any side effect."""
     try:
-        budget = EvalBudget(
-            gamma=base.gamma,
-            fe_budget=base.fe_budget if args.fe_budget is None else args.fe_budget,
-            train_episodes=(
-                base.train_episodes if args.train_episodes is None else args.train_episodes
-            ),
-        )
-        suite = make_suite(args.dimension, args.suite_seed)
-        for task_id in task_ids:  # raises when the budget is below two populations
+        budget = EvalBudget(**budget_parts)
+        suite = make_suite(dimension, suite_seed, instances_per_family)
+        for task_id in task_ids:
             envs.make_task(task_id, suite, max_fes=budget.fe_budget)
     except ValueError as exc:
         raise CliError(f"bad evaluation settings: {exc}", EXIT_CONFIG)
+    return budget, suite
+
+
+def _profile_evaluator(args, task_ids: list[str]) -> EvaluationScheduler:
+    """An uncached evaluator under the --profile budget, with --fe-budget and
+    --train-episodes overriding the profile's values."""
+    base = BUDGET_PROFILES[args.profile]
+    budget, suite = _evaluation(
+        task_ids, args.dimension, args.suite_seed,
+        gamma=base.gamma,
+        fe_budget=base.fe_budget if args.fe_budget is None else args.fe_budget,
+        train_episodes=base.train_episodes if args.train_episodes is None else args.train_episodes,
+    )
     return EvaluationScheduler(suite, budget, args.seed)
 
 
@@ -180,6 +175,10 @@ def cmd_discover(args) -> int:
         config = RunConfig.from_dict(raw)
     except ConfigError as exc:
         raise CliError(f"config validation error: {exc}", EXIT_CONFIG)
+    budget, suite = _evaluation(
+        config.tasks, config.dimension, config.suite_seed, config.instances_per_family,
+        gamma=config.gamma, fe_budget=config.fe_budget, train_episodes=config.train_episodes,
+    )
 
     provider = _build_provider(provider_cfg, replay)
     if not args.resume and out_dir.exists() and any(out_dir.iterdir()):
@@ -187,7 +186,9 @@ def cmd_discover(args) -> int:
             f"output directory {out_dir} exists and is not empty", EXIT_CONFIG
         )
     out_dir.mkdir(parents=True, exist_ok=True)
-    evaluator = _build_evaluator(config, out_dir / "fitness-cache")
+    evaluator = EvaluationScheduler(
+        suite, budget, config.seed, FitnessCache(out_dir / "fitness-cache"), config.workers
+    )
 
     def print_generation(generation, rows):
         for row in rows:
@@ -420,29 +421,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disable-kt", action="store_true")
     p.set_defaults(func=cmd_discover)
 
-    p = sub.add_parser("eval-reward", help="evaluate one reward file")
+    # The evaluation settings of eval-reward and transfer.
+    evaluation = argparse.ArgumentParser(add_help=False)
+    evaluation.add_argument("--profile", choices=sorted(BUDGET_PROFILES), default="search")
+    evaluation.add_argument("--seed", type=int, default=0)
+    evaluation.add_argument("--dimension", type=int, default=10)
+    evaluation.add_argument("--suite-seed", type=int, default=0)
+    evaluation.add_argument("--fe-budget", type=int, default=None)
+    evaluation.add_argument("--train-episodes", type=int, default=None)
+
+    p = sub.add_parser("eval-reward", parents=[evaluation], help="evaluate one reward file")
     p.add_argument("reward", help="path to a .rsl reward file")
     p.add_argument("--task", help="task id (default: file header)")
-    p.add_argument("--profile", choices=sorted(BUDGET_PROFILES), default="search")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dimension", type=int, default=10)
-    p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--fe-budget", type=int, default=None)
-    p.add_argument("--train-episodes", type=int, default=None)
     p.set_defaults(func=cmd_eval_reward)
 
-    p = sub.add_parser("transfer", help="zero-shot reward transfer between tasks")
+    p = sub.add_parser(
+        "transfer", parents=[evaluation], help="zero-shot reward transfer between tasks"
+    )
     p.add_argument("reward", help="path to the source .rsl reward file")
     p.add_argument("--source-task", help="source task id (default: file header)")
     p.add_argument("--target-task", required=True)
     p.add_argument("--replay", help="JSONL replay script (mock provider)")
     p.add_argument("--provider-config", help="JSON provider configuration file")
-    p.add_argument("--profile", choices=sorted(BUDGET_PROFILES), default="search")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dimension", type=int, default=10)
-    p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--fe-budget", type=int, default=None)
-    p.add_argument("--train-episodes", type=int, default=None)
     p.add_argument("--out", help="output path for the adapted reward")
     p.set_defaults(func=cmd_transfer)
 

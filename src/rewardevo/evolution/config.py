@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from ..envs.schema import TASK_IDS
+from ..fitness import SEARCH_BUDGET
 
 _OPERATOR_SLOTS = ("m1", "m2", "m3", "c1", "c2")
 
@@ -29,9 +30,9 @@ class RunConfig:
     kt_pathways: int | None = None  # default: one per niche
     disable_kt: bool = False
     replace_ops: dict = field(default_factory=dict)  # e.g. {"m1": "m0"}
-    gamma: int = 3
-    fe_budget: int = 5000
-    train_episodes: int = 20
+    gamma: int = SEARCH_BUDGET.gamma
+    fe_budget: int = SEARCH_BUDGET.fe_budget
+    train_episodes: int = SEARCH_BUDGET.train_episodes
     seed: int = 0
     workers: int = 1
     max_init_attempts: int | None = None  # default: 5 * (N - 1)
@@ -48,12 +49,6 @@ class RunConfig:
             raise ConfigError("g_max must be >= 1")
         if self.niche_size < 1:
             raise ConfigError("niche_size must be >= 1")
-        if self.dimension < 2:
-            raise ConfigError("dimension must be >= 2")
-        if self.gamma < 1:
-            raise ConfigError("gamma must be >= 1")
-        if self.fe_budget < 200:
-            raise ConfigError("fe_budget must cover at least two populations")
         if self.history_window < 1:
             raise ConfigError("history_window must be >= 1")
         if self.k_failure < 1:

@@ -21,7 +21,8 @@ INVALID_FITNESS = math.inf
 
 @dataclass(frozen=True)
 class EvalBudget:
-    """One evaluation profile: repetitions, per-episode budget, training."""
+    """One evaluation profile: repetitions, per-episode budget, training. The
+    defaults are the search profile."""
 
     gamma: int = 3
     fe_budget: int = 5000
@@ -39,7 +40,7 @@ class EvalBudget:
         return (self.gamma, self.fe_budget, self.train_episodes)
 
 
-SEARCH_BUDGET = EvalBudget(gamma=3, fe_budget=5000, train_episodes=20)
+SEARCH_BUDGET = EvalBudget()
 FINAL_BUDGET = EvalBudget(gamma=51, fe_budget=5000, train_episodes=60)
 
 BUDGET_PROFILES = {"search": SEARCH_BUDGET, "final": FINAL_BUDGET}

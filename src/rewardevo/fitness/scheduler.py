@@ -97,7 +97,7 @@ class EvaluationScheduler:
         self.budget = budget
         self.seed = int(seed)
         self.cache = cache or FitnessCache()
-        self.worker_count = max(1, worker_count)
+        self.worker_count = worker_count
         self._tasks: dict[str, MetaTask] = {}
 
     def _evaluate_with_retry(

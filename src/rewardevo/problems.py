@@ -474,8 +474,6 @@ def make_suite(
     dimension: int = 10, seed: int = 0, instances_per_family: int = 1
 ) -> ProblemSuite:
     """Build the standard split: 8 training families, 16 held-out families."""
-    if dimension < 2:
-        raise ContractViolation("dimension must be >= 2")
     if instances_per_family < 1:
         raise ContractViolation("instances_per_family must be >= 1")
 
