@@ -48,6 +48,17 @@ BAD_PSO_SETTINGS = [
 BAD_PSO_IDS = ["fe-150", "fe-0", "fe-neg", "train-neg", "dimension-1"]
 
 
+# Settings a discover config may hold that no evaluation of its tasks can
+# run: each is rejected by the budget, the suite or a task's population.
+BAD_DISCOVER_SETTINGS = {
+    "train-neg": {"train_episodes": -1},
+    "instances-0": {"instances_per_family": 0},
+    "gamma-0": {"gamma": 0},
+    "dimension-1": {"dimension": 1},
+    "fe-150": {"tasks": [DE, PSO, DAS], "fe_budget": 150},
+}
+
+
 def write_replay(tmp_path, cfg):
     script = full_run_script(cfg["tasks"], cfg["niche_size"], cfg["g_max"])
     path = tmp_path / "replay.jsonl"
@@ -83,6 +94,45 @@ class TestDiscover:
              "--gmax", "0", "--out", str(tmp_path / "o")]
         )
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "settings", BAD_DISCOVER_SETTINGS.values(), ids=BAD_DISCOVER_SETTINGS.keys()
+    )
+    def test_bad_settings_are_config_errors(
+        self, tmp_path, small_config, settings, monkeypatch, capsys
+    ):
+        def no_provider(*args):
+            raise AssertionError("the provider was built before the settings were checked")
+
+        monkeypatch.setattr(cli, "_build_provider", no_provider)
+        _, cfg = small_config
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**cfg, **settings}))
+        out = tmp_path / "o"
+        rc = cli.main(
+            ["discover", "--config", str(cfg_path), "--replay", "x", "--out", str(out)]
+        )
+        assert rc == EXIT_CONFIG
+        assert "bad evaluation settings" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_task_has_its_own_budget_floor(self, tmp_path):
+        # Two DE populations are 100 FEs, so DE alone runs at 150.
+        cfg = {
+            "tasks": [DE], "niche_size": 1, "g_max": 1, "dimension": 2, "gamma": 1,
+            "fe_budget": 150, "train_episodes": 0,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        replay = tmp_path / "empty.jsonl"
+        replay.write_text("")
+        out = tmp_path / "o"
+        rc = cli.main(
+            ["discover", "--config", str(cfg_path), "--replay", str(replay),
+             "--out", str(out)]
+        )
+        assert rc == EXIT_OK
+        assert (out / "report.csv").exists()
 
     def test_missing_replay_is_config_error(self, tmp_path, small_config):
         cfg_path, _ = small_config
@@ -273,6 +323,49 @@ class TestEvalReward:
         bad.write_text("return ctx.gbest_cost, {}")  # DE field
         rc = cli.main(["eval-reward", str(bad), "--task", PSO])
         assert rc == EXIT_CONFIG
+
+
+class TestEvaluationOptions:
+    """eval-reward and transfer share one set of evaluation flags."""
+
+    EVALUATION_DEFAULTS = {
+        "profile": "search", "seed": 0, "dimension": 10, "suite_seed": 0,
+        "fe_budget": None, "train_episodes": None,
+    }
+
+    def _parsed(self, argv) -> dict:
+        args = vars(cli.build_parser().parse_args(argv))
+        assert args.pop("func") is {
+            "eval-reward": cli.cmd_eval_reward, "transfer": cli.cmd_transfer
+        }[argv[0]]
+        return args
+
+    def test_eval_reward_options(self):
+        assert self._parsed(["eval-reward", "r.rsl"]) == {
+            "command": "eval-reward", "reward": "r.rsl", "task": None,
+            **self.EVALUATION_DEFAULTS,
+        }
+
+    def test_transfer_options(self):
+        assert self._parsed(["transfer", "r.rsl", "--target-task", DAS]) == {
+            "command": "transfer", "reward": "r.rsl", "source_task": None,
+            "target_task": DAS, "replay": None, "provider_config": None, "out": None,
+            **self.EVALUATION_DEFAULTS,
+        }
+
+    @pytest.mark.parametrize(
+        "command", [["eval-reward", "r.rsl"], ["transfer", "r.rsl", "--target-task", DAS]],
+        ids=["eval-reward", "transfer"],
+    )
+    def test_evaluation_flags_parse_alike(self, command):
+        args = self._parsed(
+            [*command, "--profile", "final", "--seed", "4", "--dimension", "5",
+             "--suite-seed", "6", "--fe-budget", "700", "--train-episodes", "2"]
+        )
+        assert {k: args[k] for k in self.EVALUATION_DEFAULTS} == {
+            "profile": "final", "seed": 4, "dimension": 5, "suite_seed": 6,
+            "fe_budget": 700, "train_episodes": 2,
+        }
 
 
 class TestTransfer:
