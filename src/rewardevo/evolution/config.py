@@ -11,6 +11,23 @@ from ..fitness import SEARCH_BUDGET
 _OPERATOR_SLOTS = ("m1", "m2", "m3", "c1", "c2")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Each field annotation's test of a JSON value, and its name in messages.
+_ADMITS = {
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "list[str]": (
+        lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+        "a list of strings",
+    ),
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -84,6 +101,10 @@ class RunConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            admits, expected = _ADMITS[cls.__dataclass_fields__[key].type]
+            if not admits(value):
+                raise ConfigError(f"{key} must be {expected}, got {value!r}")
         cfg = cls(**d)
         cfg.validate()
         return cfg

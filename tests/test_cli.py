@@ -6,7 +6,7 @@ import support
 
 from rewardevo import cli, envs, rsl
 from rewardevo.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVIDER
-from rewardevo.evolution import RunConfig
+from rewardevo.evolution import ConfigError, RunConfig
 from support import MagicEvaluator, full_run_script, reward_response
 
 PSO = "pso-parameter-control"
@@ -56,6 +56,23 @@ BAD_DISCOVER_SETTINGS = {
     "gamma-0": {"gamma": 0},
     "dimension-1": {"dimension": 1},
     "fe-150": {"tasks": [DE, PSO, DAS], "fe_budget": 150},
+}
+
+
+# Config values whose JSON type is not their key's, and the type each key
+# admits.
+MISTYPED_CONFIG = {
+    "str-int": ({"niche_size": "2"}, "niche_size must be an integer"),
+    "str-workers": ({"workers": "2"}, "workers must be an integer"),
+    "float-int": ({"g_max": 1.5}, "g_max must be an integer"),
+    "bool-int": ({"seed": True}, "seed must be an integer"),
+    "float-budget": ({"fe_budget": 300.0}, "fe_budget must be an integer"),
+    "str-tasks": ({"tasks": PSO}, "tasks must be a list of strings"),
+    "int-in-tasks": ({"tasks": [PSO, 1]}, "tasks must be a list of strings"),
+    "list-ops": ({"replace_ops": ["m1"]}, "replace_ops must be an object"),
+    "float-pathways": ({"kt_pathways": 1.0}, "kt_pathways must be an integer or null"),
+    "str-attempts": ({"max_init_attempts": "3"}, "max_init_attempts must be an integer or null"),
+    "int-kt": ({"disable_kt": 1}, "disable_kt must be true or false"),
 }
 
 
@@ -115,6 +132,31 @@ class TestDiscover:
         assert rc == EXIT_CONFIG
         assert "bad evaluation settings" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "settings, message", MISTYPED_CONFIG.values(), ids=MISTYPED_CONFIG.keys()
+    )
+    def test_mistyped_config_is_config_error(
+        self, tmp_path, small_config, settings, message, capsys
+    ):
+        _, cfg = small_config
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict({**cfg, **settings})
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**cfg, **settings}))
+        out = tmp_path / "o"
+        rc = cli.main(
+            ["discover", "--config", str(cfg_path), "--replay", "x", "--out", str(out)]
+        )
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_counts_take_their_defaults(self, small_config):
+        _, cfg = small_config
+        config = RunConfig.from_dict({**cfg, "kt_pathways": None, "max_init_attempts": None})
+        assert config.pathway_count == len(cfg["tasks"])
+        assert config.init_attempts == 5 * (cfg["niche_size"] - 1)
 
     def test_each_task_has_its_own_budget_floor(self, tmp_path):
         # Two DE populations are 100 FEs, so DE alone runs at 150.
