@@ -51,6 +51,7 @@ _INT_BITS_CAP = 256
 _MAG = 2.0**_INT_BITS_CAP  # ints below it have at most _INT_BITS_CAP bits
 _UNSET = object()  # the value of a variable slot before its first assignment
 _F64 = np.dtype(np.float64)
+_BOOL = np.dtype(np.bool_)
 # The ufunc reductions behind np.sum/np.min/np.max, without their wrappers.
 _SUM, _MIN, _MAX = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 
@@ -233,7 +234,8 @@ def _unary(scalar, array, domain: str = "") -> _Builtin:
             except ValueError as exc:  # math domain error
                 raise RslNumericError(f"{name}(): {exc}")
         if isinstance(x, np.ndarray):
-            return array(x)
+            # numpy would compute a bool array in its smallest float, float16.
+            return array(x.astype(_F64) if x.dtype is _BOOL else x)
         raise RslTypeError(f"{name}() expects numeric input, got {_kind(x)}")
 
     def inline(gen, t, args):

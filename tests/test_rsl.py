@@ -1,3 +1,4 @@
+import math
 import threading
 import time
 
@@ -273,6 +274,14 @@ return col[0] + col[1] + row[0] + row[1], {}
 
     def test_integral_float_loop_count_allowed(self):
         assert run("s = 0.0\nfor i in range(4.0 / 2):\n    s = s + 1.0\nreturn s, {}").total == 2.0
+
+    def test_bool_array_math_is_float64(self):
+        # numpy computes a bool array in float16; the builtins compute it as
+        # the float64 array of its 0s and 1s.
+        ctx = {"bv": np.array([True, False])}
+        assert run("return exp(ctx.bv)[0], {}", ctx).total == math.e
+        assert run("return tanh(ctx.bv)[0], {}", ctx).total == math.tanh(1.0)
+        assert run("return log1p(ctx.bv)[0], {}", ctx).total == math.log1p(1.0)
 
 
 class TestLimits:
