@@ -7,8 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 from ..envs.schema import TASK_IDS
 from ..fitness import SEARCH_BUDGET
-
-_OPERATOR_SLOTS = ("m1", "m2", "m3", "c1", "c2")
+from .operators import OPERATOR_ORDER
 
 
 def _is_int(value) -> bool:
@@ -77,7 +76,7 @@ class RunConfig:
         if self.kt_pathways is not None and self.kt_pathways < 1:
             raise ConfigError("kt_pathways must be >= 1")
         for slot, repl in self.replace_ops.items():
-            if slot not in _OPERATOR_SLOTS:
+            if slot not in OPERATOR_ORDER:
                 raise ConfigError(f"cannot replace unknown operator {slot!r}")
             if repl != "m0":
                 raise ConfigError(f"operators can only be replaced by m0, got {repl!r}")

@@ -14,7 +14,10 @@ from .provider import (
     RecordingProvider,
 )
 from .templates import (
+    GENERATION_TEMPERATURE,
+    REFLECTION_TEMPERATURE,
     TEMPLATE_IDS,
+    TEMPLATE_TEMPERATURES,
     TEMPLATE_VERSION,
     PromptTemplate,
     TemplateError,
@@ -22,25 +25,6 @@ from .templates import (
     language_guide,
     render_prompt,
 )
-
-# Generation templates sample at high temperature; reflection and planning
-# templates at low temperature.
-GENERATION_TEMPERATURE = 1.0
-REFLECTION_TEMPERATURE = 0.3
-
-TEMPLATE_TEMPERATURES = {
-    "init": GENERATION_TEMPERATURE,
-    "m1_reflect": REFLECTION_TEMPERATURE,
-    "m1_mutate": GENERATION_TEMPERATURE,
-    "m2": GENERATION_TEMPERATURE,
-    "m3_reflect": REFLECTION_TEMPERATURE,
-    "m3_mutate": GENERATION_TEMPERATURE,
-    "c1": GENERATION_TEMPERATURE,
-    "c2": GENERATION_TEMPERATURE,
-    "kt_reflect": REFLECTION_TEMPERATURE,
-    "kt_execute": GENERATION_TEMPERATURE,
-    "m0": GENERATION_TEMPERATURE,
-}
 
 __all__ = [
     "KtPathway",

@@ -21,19 +21,26 @@ TEMPLATES_DIR = (
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
 
-TEMPLATE_IDS = (
-    "init",
-    "m1_reflect",
-    "m1_mutate",
-    "m2",
-    "m3_reflect",
-    "m3_mutate",
-    "c1",
-    "c2",
-    "kt_reflect",
-    "kt_execute",
-    "m0",
-)
+# Generation templates sample at high temperature; reflection and planning
+# templates at low temperature.
+GENERATION_TEMPERATURE = 1.0
+REFLECTION_TEMPERATURE = 0.3
+
+# Every template, in registry order, with its sampling temperature.
+TEMPLATE_TEMPERATURES = {
+    "init": GENERATION_TEMPERATURE,
+    "m1_reflect": REFLECTION_TEMPERATURE,
+    "m1_mutate": GENERATION_TEMPERATURE,
+    "m2": GENERATION_TEMPERATURE,
+    "m3_reflect": REFLECTION_TEMPERATURE,
+    "m3_mutate": GENERATION_TEMPERATURE,
+    "c1": GENERATION_TEMPERATURE,
+    "c2": GENERATION_TEMPERATURE,
+    "kt_reflect": REFLECTION_TEMPERATURE,
+    "kt_execute": GENERATION_TEMPERATURE,
+    "m0": GENERATION_TEMPERATURE,
+}
+TEMPLATE_IDS = tuple(TEMPLATE_TEMPERATURES)
 
 # Placeholders that templates may reference; anything else in braces is
 # literal text (e.g. the JSON example in kt_reflect).
