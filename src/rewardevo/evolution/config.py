@@ -1,5 +1,15 @@
 """Run configuration: validated before any side effect, echoed into the run
-directory."""
+directory.
+
+``RunConfig.from_dict`` checks the JSON type of every key, and ``validate``
+the run's shape: tasks, niches, generations, selection, knowledge transfer
+and workers. The evaluation settings are checked where they are used, by
+``problems.make_instance`` (dimension >= 2), ``problems.make_suite``
+(instances_per_family >= 1), ``fitness.EvalBudget`` (gamma >= 1,
+fe_budget >= 1, train_episodes >= 0) and ``envs.make_task`` (an fe_budget of
+at least two of the task's populations). ``rewardevo discover`` builds all
+of them before it builds the provider or the run directory.
+"""
 
 from __future__ import annotations
 
