@@ -76,6 +76,18 @@ MISTYPED_CONFIG = {
 }
 
 
+def assert_rejected(tmp_path, cfg, message, capsys):
+    """discover with ``cfg`` exits 2 with ``message`` and creates no run
+    directory."""
+    cfg_path = tmp_path / "rejected.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    rc = cli.main(["discover", "--config", str(cfg_path), "--replay", "x", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def write_replay(tmp_path, cfg):
     script = full_run_script(cfg["tasks"], cfg["niche_size"], cfg["g_max"])
     path = tmp_path / "replay.jsonl"
@@ -122,16 +134,8 @@ class TestDiscover:
             raise AssertionError("the provider was built before the settings were checked")
 
         monkeypatch.setattr(cli, "_build_provider", no_provider)
-        _, cfg = small_config
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({**cfg, **settings}))
-        out = tmp_path / "o"
-        rc = cli.main(
-            ["discover", "--config", str(cfg_path), "--replay", "x", "--out", str(out)]
-        )
-        assert rc == EXIT_CONFIG
-        assert "bad evaluation settings" in capsys.readouterr().err
-        assert not out.exists()
+        cfg = {**small_config[1], **settings}
+        assert_rejected(tmp_path, cfg, "bad evaluation settings", capsys)
 
     @pytest.mark.parametrize(
         "settings, message", MISTYPED_CONFIG.values(), ids=MISTYPED_CONFIG.keys()
@@ -139,18 +143,10 @@ class TestDiscover:
     def test_mistyped_config_is_config_error(
         self, tmp_path, small_config, settings, message, capsys
     ):
-        _, cfg = small_config
+        cfg = {**small_config[1], **settings}
         with pytest.raises(ConfigError, match=message):
-            RunConfig.from_dict({**cfg, **settings})
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({**cfg, **settings}))
-        out = tmp_path / "o"
-        rc = cli.main(
-            ["discover", "--config", str(cfg_path), "--replay", "x", "--out", str(out)]
-        )
-        assert rc == EXIT_CONFIG
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+            RunConfig.from_dict(cfg)
+        assert_rejected(tmp_path, cfg, message, capsys)
 
     def test_null_counts_take_their_defaults(self, small_config):
         _, cfg = small_config
@@ -377,9 +373,7 @@ class TestEvaluationOptions:
 
     def _parsed(self, argv) -> dict:
         args = vars(cli.build_parser().parse_args(argv))
-        assert args.pop("func") is {
-            "eval-reward": cli.cmd_eval_reward, "transfer": cli.cmd_transfer
-        }[argv[0]]
+        del args["func"]
         return args
 
     def test_eval_reward_options(self):
