@@ -418,6 +418,64 @@ class TestPolicies:
 
 
 class TestTaskConstruction:
+    # Per task: its population, and the settings its fresh policy reports.
+    TASK_SETTINGS = {
+        "de-operator-selection": (
+            50,
+            {"kind": "qtable", "n_actions": 3, "lr": None, "gamma": 0.3, "epsilon": 0.4},
+        ),
+        "pso-parameter-control": (100, {"kind": "linear", "n_out": 35, "sigma": 0.2}),
+        "algorithm-selection": (
+            50,
+            {"kind": "qtable", "n_actions": 3, "lr": None, "gamma": 0.3, "epsilon": 0.4},
+        ),
+    }
+
+    @pytest.mark.parametrize("task_id", envs.TASK_IDS)
+    def test_task_settings(self, task_id, suite_d5, sphere5, monkeypatch):
+        population, settings = self.TASK_SETTINGS[task_id]
+        task = make_task(task_id, suite_d5)
+        policy = make_policy(task).to_dict()
+        assert {k: policy[k] for k in settings} == settings
+        if policy["kind"] == "linear":
+            assert np.array_equal(policy["w"], np.zeros((35, 5)))
+        # max_fes defaults to 5000.
+        with pytest.raises(ValueError, match="exceeds the task's MaxFEs"):
+            run_episode(task, make_policy(task), None, sphere5, 7, 5001)
+        # The population: the budget floor, and the first batch evaluated.
+        with pytest.raises(ValueError, match="two populations"):
+            run_episode(task, make_policy(task), None, sphere5, 7, 2 * population - 1)
+        batches = []
+        real_many = problems.evaluate_many
+
+        def recording_many(inst, pts):
+            batches.append(pts.shape[0])
+            return real_many(inst, pts)
+
+        monkeypatch.setattr("rewardevo.envs.episode.problems.evaluate_many", recording_many)
+        run_episode(task, make_policy(task), None, sphere5, 7, 2 * population)
+        assert batches[0] == population
+
+    @pytest.mark.parametrize(("episodes", "rounds"), [(4, 1), (7, 1), (10, 2), (14, 2)])
+    def test_pso_trains_in_rounds_of_one_plus_four(
+        self, episodes, rounds, suite_d5, sphere5, monkeypatch
+    ):
+        """Each (1+lambda) round runs the parent and lambda = 4 perturbations
+        on one episode seed; there are episodes // 5 rounds, at least one."""
+        task = make_task("pso-parameter-control", suite_d5)
+        seeds = []
+
+        def recording_episode(task, policy, reward, instance, seed, fe_budget, **kw):
+            seeds.append(seed)
+            return envs.EpisodeLog(instance_id="stub", seed=seed)
+
+        monkeypatch.setattr("rewardevo.envs.tasks.run_episode", recording_episode)
+        zero = rsl.parse("return 0.0, {}")
+        train_policy(task, zero, [sphere5], episodes, 500, seed=3)
+        assert len(seeds) == 5 * rounds
+        assert [len(set(seeds[5 * r : 5 * r + 5])) for r in range(rounds)] == [1] * rounds
+        assert len(set(seeds)) == rounds
+
     def test_maxfes_floor(self, suite_d5):
         with pytest.raises(ValueError):
             make_task("de-operator-selection", suite_d5, max_fes=50)
