@@ -113,7 +113,7 @@ def run_de_episode(
     learn: bool = False,
     collect_contexts: list | None = None,
 ) -> EpisodeLog:
-    np_size = task.optimizer_config["NP"]
+    np_size = task.population
     dim = instance.dimension
     lb, ub = instance.lower_bound, instance.upper_bound
     rng = episode_rng(instance, seed)

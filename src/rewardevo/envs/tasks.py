@@ -1,16 +1,20 @@
 """Task registry: the three trainable environments behind one interface.
 
-A MetaTask bundles the problem suite, the low-level optimizer configuration,
-and the meta-policy configuration. Episodes, policy training, the bundled
-expert-anchor rewards, and the algorithm-summary fixtures all dispatch on the
-task id.
+A task is its id, its problem suite, its population, its episode budget
+ceiling ``max_fes`` and the constructor of the meta-policy it trains. The
+population, the episode runner and the policy constructor come from one
+table, ``_TASKS``; a policy's hyperparameters are its constructor's
+defaults. The bundled expert-anchor rewards and algorithm-summary fixtures
+are looked up by task id.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -19,48 +23,32 @@ from ..problems import ProblemSuite, mix64
 from .das_env import run_das_episode
 from .de_env import run_de_episode
 from .episode import EpisodeLog
-from .policies import LinearGainPolicy, QTablePolicy, RandomPolicy
+from .policies import LinearGainPolicy, QTablePolicy
 from .pso_env import run_pso_episode
 from .schema import PSO_ACTION_SIZE, TASK_IDS, Schema, get_schema
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
-_DEFAULT_OPTIMIZER = {
-    "de-operator-selection": {"NP": 50},
-    "pso-parameter-control": {"NP": 100},
-    "algorithm-selection": {"NP": 50},
+# Per task id: population, episode runner, policy constructor.
+_TASKS = {
+    "de-operator-selection": (50, run_de_episode, partial(QTablePolicy, 3)),
+    "pso-parameter-control": (
+        100, run_pso_episode, partial(LinearGainPolicy, PSO_ACTION_SIZE)
+    ),
+    "algorithm-selection": (50, run_das_episode, partial(QTablePolicy, 3)),
 }
 
-_DEFAULT_POLICY = {
-    "de-operator-selection": {
-        "kind": "qtable",
-        "n_actions": 3,
-        "lr": None,
-        "gamma": 0.3,
-        "epsilon": 0.4,
-    },
-    "pso-parameter-control": {
-        "kind": "linear",
-        "n_out": PSO_ACTION_SIZE,
-        "sigma": 0.2,
-        "lambda": 4,
-    },
-    "algorithm-selection": {
-        "kind": "qtable",
-        "n_actions": 3,
-        "lr": None,
-        "gamma": 0.3,
-        "epsilon": 0.4,
-    },
-}
+# Perturbations per round of the linear policy's (1+lambda) search.
+_LAMBDA = 4
 
 
 @dataclass(eq=False)
 class MetaTask:
     task_id: str
     suite: ProblemSuite
-    optimizer_config: dict
-    policy_config: dict
+    population: int
+    max_fes: int
+    new_policy: Callable[[], object]
 
     @property
     def schema(self) -> Schema:
@@ -76,37 +64,14 @@ class Metadata:
     c_alg: str
 
 
-def make_task(
-    task_id: str,
-    suite: ProblemSuite,
-    max_fes: int = 5000,
-    optimizer_overrides: dict | None = None,
-    policy_overrides: dict | None = None,
-) -> MetaTask:
+def make_task(task_id: str, suite: ProblemSuite, max_fes: int = 5000) -> MetaTask:
     if task_id not in TASK_IDS:
         raise ValueError(f"unknown task id {task_id!r}")
-    opt = dict(_DEFAULT_OPTIMIZER[task_id])
-    opt["MaxFEs"] = int(max_fes)
-    if optimizer_overrides:
-        opt.update(optimizer_overrides)
-    if opt["MaxFEs"] < opt["NP"] * 2:
+    population, _, new_policy = _TASKS[task_id]
+    max_fes = int(max_fes)
+    if max_fes < population * 2:
         raise ValueError("MaxFEs must be at least NP * 2")
-    pol = dict(_DEFAULT_POLICY[task_id])
-    if policy_overrides:
-        pol.update(policy_overrides)
-    return MetaTask(
-        task_id=task_id,
-        suite=suite,
-        optimizer_config=opt,
-        policy_config=pol,
-    )
-
-
-_EPISODE_RUNNERS = {
-    "de-operator-selection": run_de_episode,
-    "pso-parameter-control": run_pso_episode,
-    "algorithm-selection": run_das_episode,
-}
+    return MetaTask(task_id, suite, population, max_fes, new_policy)
 
 
 def run_episode(
@@ -119,11 +84,11 @@ def run_episode(
     learn: bool = False,
     collect_contexts: list | None = None,
 ) -> EpisodeLog:
-    if fe_budget > task.optimizer_config["MaxFEs"]:
+    if fe_budget > task.max_fes:
         raise ValueError("fe_budget exceeds the task's MaxFEs")
-    if fe_budget < task.optimizer_config["NP"] * 2:
+    if fe_budget < task.population * 2:
         raise ValueError("fe_budget must cover at least two populations")
-    runner = _EPISODE_RUNNERS[task.task_id]
+    runner = _TASKS[task.task_id][1]
     return runner(
         task,
         policy,
@@ -136,18 +101,9 @@ def run_episode(
     )
 
 
-def make_policy(task: MetaTask, kind: str | None = None):
-    cfg = task.policy_config
-    kind = kind or cfg["kind"]
-    if kind == "random":
-        return RandomPolicy(
-            n_actions=cfg.get("n_actions", 3), n_out=cfg.get("n_out", 0)
-        )
-    if kind == "qtable":
-        return QTablePolicy(cfg["n_actions"], cfg["lr"], cfg["gamma"], cfg["epsilon"])
-    if kind == "linear":
-        return LinearGainPolicy(cfg["n_out"], cfg["sigma"])
-    raise ValueError(f"unknown policy kind {kind!r}")
+def make_policy(task: MetaTask):
+    """A fresh, untrained policy of the kind the task trains."""
+    return task.new_policy()
 
 
 def train_policy(
@@ -175,9 +131,8 @@ def train_policy(
         return policy
 
     # (1+lambda) perturbation search on episode return for the linear policy.
-    lam = int(task.policy_config["lambda"])
-    sigma = float(task.policy_config["sigma"])
-    iterations = max(1, episodes // (1 + lam))
+    sigma = policy.sigma
+    iterations = max(1, episodes // (1 + _LAMBDA))
     rng = np.random.Generator(np.random.PCG64(mix64(seed, 424242)))
     for it in range(iterations):
         inst = train_instances[it % n]
@@ -189,7 +144,7 @@ def train_policy(
         best_w = None
         best_ret = parent_ret
         base_w = policy.w.copy()
-        for _ in range(lam):
+        for _ in range(_LAMBDA):
             cand = base_w + sigma * rng.standard_normal(base_w.shape)
             policy.w = cand
             ret = run_episode(
@@ -208,9 +163,8 @@ def train_policy(
 _ANCHOR_CACHE: dict[str, rsl.RewardProgram] = {}
 
 
-def handcrafted_reward(task_or_id) -> rsl.RewardProgram:
+def handcrafted_reward(task_id: str) -> rsl.RewardProgram:
     """The bundled expert-anchor reward of the task's original method."""
-    task_id = task_or_id if isinstance(task_or_id, str) else task_or_id.task_id
     if task_id not in TASK_IDS:
         raise ValueError(f"unknown task id {task_id!r}")
     if task_id not in _ANCHOR_CACHE:
@@ -219,9 +173,8 @@ def handcrafted_reward(task_or_id) -> rsl.RewardProgram:
     return _ANCHOR_CACHE[task_id]
 
 
-def load_task_metadata(task_or_id) -> Metadata:
+def load_task_metadata(task_id: str) -> Metadata:
     """The bundled algorithm summary of the task."""
-    task_id = task_or_id if isinstance(task_or_id, str) else task_or_id.task_id
     path = FIXTURES_DIR / "metadata" / f"{task_id}.json"
     if not path.exists():
         raise FileNotFoundError(f"missing metadata fixture for {task_id!r}: {path}")
@@ -229,9 +182,8 @@ def load_task_metadata(task_or_id) -> Metadata:
     return Metadata(task_id=task_id, c_alg=raw["c_alg"])
 
 
-def discovered_reward(task_or_id) -> rsl.RewardProgram:
+def discovered_reward(task_id: str) -> rsl.RewardProgram:
     """The bundled conformance fixture: the discovered reward for this task,
     expressed in the reward scripting language."""
-    task_id = task_or_id if isinstance(task_or_id, str) else task_or_id.task_id
     path = FIXTURES_DIR / "rewards" / "discovered" / f"{task_id}.rsl"
     return rsl.parse(path.read_text(encoding="utf-8"))

@@ -179,11 +179,8 @@ def make_instance(
     function_id: str,
     dimension: int = 10,
     instance_seed: int = 1,
-    _x_opt: np.ndarray | None = None,
-    _f_opt: float | None = None,
 ) -> ProblemInstance:
-    """Materialize one instance. ``_x_opt``/``_f_opt`` override the seeded
-    draws (used by tests that need a zero-shift instance)."""
+    """Materialize one instance from its seeded draws."""
     if function_id not in _FAMILY_INDEX:
         raise ContractViolation(f"unknown function_id {function_id!r}")
     if dimension < 2:
@@ -197,11 +194,6 @@ def make_instance(
     base = rng.uniform(-4.0, 4.0, size=dim)
     rot_r = _rotation(rng, dim)
     rot_q = _rotation(rng, dim)
-
-    if _f_opt is not None:
-        f_opt = float(_f_opt)
-    if _x_opt is not None:
-        base = np.asarray(_x_opt, dtype=float).copy()
 
     params: dict = {"R": rot_r, "Q": rot_q}
     x_opt = base

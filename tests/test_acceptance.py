@@ -2,6 +2,7 @@
 pass/fail line each. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import dataclasses
 import json
 import math
 import statistics
@@ -13,7 +14,7 @@ import support
 from scipy import stats
 
 from rewardevo import envs, llm, rsl
-from rewardevo.envs import get_schema, make_task, random_context
+from rewardevo.envs import RandomPolicy, get_schema, make_task, random_context
 from rewardevo.evolution import RunConfig, run_discovery, select_survivors
 from rewardevo.evolution.selection import first_draw_distribution
 from rewardevo.evolution.loop import _State
@@ -271,14 +272,10 @@ def test_criterion_07_learning_signal():
         "if ctx.gbest_improve > 0.0:\n    r = 1.0\nelse:\n    r = 0.0\nreturn r, {}"
     )
     # Budget placed mid-convergence (NP=200) so policy quality is measurable.
-    trained_task = make_task(
-        "de-operator-selection", suite, max_fes=2000,
-        optimizer_overrides={"NP": 200},
+    trained_task = dataclasses.replace(
+        make_task("de-operator-selection", suite, max_fes=2000), population=200
     )
-    random_task = make_task(
-        "de-operator-selection", suite, max_fes=2000,
-        optimizer_overrides={"NP": 200}, policy_overrides={"kind": "random"},
-    )
+    random_task = dataclasses.replace(trained_task, new_policy=RandomPolicy)
     trained_budget = EvalBudget(gamma=3, fe_budget=2000, train_episodes=20)
     random_budget = EvalBudget(gamma=3, fe_budget=2000, train_episodes=0)
     pairs = []

@@ -8,7 +8,9 @@ from conftest import golden_check
 
 from rewardevo import envs, problems, rsl
 from rewardevo.envs import (
+    PSO_ACTION_SIZE,
     InvalidRewardError,
+    RandomPolicy,
     discovered_reward,
     get_schema,
     handcrafted_reward,
@@ -23,21 +25,18 @@ from rewardevo.envs import (
 from rewardevo.evolution import format_metadata
 
 
-# Per task: (policy kind, a reward that reads agent-side fields, one that
-# reads none). The first scores outside {0, 1} only through its agent field.
+# Per task: (a reward that reads agent-side fields, one that reads none).
+# The first scores outside {0, 1} only through its agent field.
 AGENT_FIELD_READERS = {
     "de-operator-selection": (
-        "qtable",
         "return ctx.accepted + 0.1 * ctx.q_span, {}",
         "if ctx.gbest_improve > 0.0:\n    r = 1.0\nelse:\n    r = 0.0\nreturn r, {}",
     ),
     "pso-parameter-control": (
-        "linear",
         "return 0.1 * ctx.entropy, {}",
         "if ctx.gbest_improve > 0.0:\n    r = 1.0\nelse:\n    r = 0.0\nreturn r, {}",
     ),
     "algorithm-selection": (
-        "qtable",
         "return 0.1 * ctx.policy_entropy, {}",
         "if ctx.current_gbest < ctx.last_cost:\n    r = 1.0\nelse:\n    r = 0.0\nreturn r, {}",
     ),
@@ -46,13 +45,13 @@ AGENT_FIELD_READERS = {
 def check_log_independent_of_context_collection(task, reads, inst):
     """A learning episode of the task's trainable policy gives the same log
     with and without collected contexts."""
-    kind, agent_source, plain_source = AGENT_FIELD_READERS[task.task_id]
+    agent_source, plain_source = AGENT_FIELD_READERS[task.task_id]
     reward = rsl.parse(agent_source if reads == "reads-agent-field" else plain_source)
     logs = []
     for ctxs in (None, []):
         log = run_episode(
             task,
-            make_policy(task, kind),
+            task.new_policy(),
             reward,
             inst,
             7,
@@ -108,19 +107,19 @@ def episode_fingerprints(tasks, suite) -> dict:
         task = tasks[task_id]
         fes = FINGERPRINT_FES[task_id]
         trained = train_policy(
-            task, handcrafted_reward(task), suite.train_instances[:1], 5, fes, seed=4
+            task, handcrafted_reward(task_id), suite.train_instances[:1], 5, fes, seed=4
         )
         rewards = {
             "none": None,
-            "anchor": handcrafted_reward(task),
-            "discovered": discovered_reward(task),
+            "anchor": handcrafted_reward(task_id),
+            "discovered": discovered_reward(task_id),
             "agent": rsl.parse(FINGERPRINT_AGENT_REWARDS[task_id]),
         }
         for reward_name, reward in rewards.items():
             for mode in ("random", "trained", "learning"):
                 for collect in (False, True):
                     policy = (
-                        make_policy(task, "random")
+                        RandomPolicy(n_out=PSO_ACTION_SIZE)
                         if mode == "random"
                         else copy.deepcopy(trained)
                     )
@@ -143,18 +142,17 @@ def sphere5():
     return problems.make_instance("sphere", dimension=5, instance_seed=11)
 
 
-def collect(task, instance, seed=5, fe=600, policy_kind="random", reward=None):
-    task_obj = task
-    pol = make_policy(task_obj, policy_kind)
+def collect(task, instance, seed=5, fe=600):
+    """A random-policy episode under the task's anchor reward, and the
+    contexts it emitted."""
     ctxs = []
     log = run_episode(
-        task_obj,
-        pol,
-        reward or handcrafted_reward(task_obj),
+        task,
+        RandomPolicy(n_out=PSO_ACTION_SIZE),
+        handcrafted_reward(task.task_id),
         instance,
         seed,
         fe,
-        learn=(policy_kind == "qtable"),
         collect_contexts=ctxs,
     )
     return log, ctxs
@@ -166,14 +164,13 @@ class TestSchemas:
         """Context keys exactly equal the declared schema keys, with valid
         kinds, shapes and finite values, on every emission."""
         schema = get_schema(task_id)
-        for kind in ("random", None):
-            task = tasks_d5[task_id]
-            pol = make_policy(task, kind)
+        task = tasks_d5[task_id]
+        for pol in (RandomPolicy(n_out=PSO_ACTION_SIZE), task.new_policy()):
             ctxs = []
             run_episode(
                 task,
                 pol,
-                handcrafted_reward(task),
+                handcrafted_reward(task.task_id),
                 sphere5,
                 seed=3,
                 fe_budget=600,
@@ -237,8 +234,8 @@ class TestEpisodes:
     def test_determinism_and_monotone_gbest(self, task_id, tasks_d5, sphere5):
         task = tasks_d5[task_id]
         zero = rsl.parse("return 0.0, {}")
-        a = run_episode(task, make_policy(task, "random"), zero, sphere5, 7, 800)
-        b = run_episode(task, make_policy(task, "random"), zero, sphere5, 7, 800)
+        a = run_episode(task, RandomPolicy(n_out=PSO_ACTION_SIZE), zero, sphere5, 7, 800)
+        b = run_episode(task, RandomPolicy(n_out=PSO_ACTION_SIZE), zero, sphere5, 7, 800)
         assert a.to_dict() == b.to_dict()
         g = [s.gbest for s in a.steps]
         assert all(later <= earlier for earlier, later in zip(g, g[1:]))
@@ -248,15 +245,15 @@ class TestEpisodes:
     def test_seed_isolation(self, task_id, tasks_d5, sphere5):
         task = tasks_d5[task_id]
         zero = rsl.parse("return 0.0, {}")
-        a = run_episode(task, make_policy(task, "random"), zero, sphere5, 7, 800)
-        b = run_episode(task, make_policy(task, "random"), zero, sphere5, 8, 800)
+        a = run_episode(task, RandomPolicy(n_out=PSO_ACTION_SIZE), zero, sphere5, 7, 800)
+        b = run_episode(task, RandomPolicy(n_out=PSO_ACTION_SIZE), zero, sphere5, 8, 800)
         assert a.to_dict() != b.to_dict()
 
     @pytest.mark.parametrize("task_id", envs.TASK_IDS)
     def test_fe_accounting(self, task_id, tasks_d5, sphere5):
         task = tasks_d5[task_id]
         log = run_episode(
-            task, make_policy(task, "random"), None, sphere5, 7, 777
+            task, RandomPolicy(n_out=PSO_ACTION_SIZE), None, sphere5, 7, 777
         )
         assert log.fe_used <= 777
 
@@ -281,16 +278,16 @@ class TestEpisodes:
         for task_id in envs.TASK_IDS:
             calls["n"] = 0
             task = tasks_d5[task_id]
-            log = run_episode(task, make_policy(task, "random"), None, sphere5, 7, 600)
+            log = run_episode(task, RandomPolicy(n_out=PSO_ACTION_SIZE), None, sphere5, 7, 600)
             assert calls["n"] == log.fe_used
 
     @pytest.mark.parametrize("task_id", envs.TASK_IDS)
     def test_frozen_trace_independent_of_reward(self, task_id, tasks_d5, sphere5):
         task = tasks_d5[task_id]
-        r1 = handcrafted_reward(task)
+        r1 = handcrafted_reward(task.task_id)
         r2 = rsl.parse("return tanh(1.0), {}")
-        a = run_episode(task, make_policy(task, "random"), r1, sphere5, 7, 800)
-        b = run_episode(task, make_policy(task, "random"), r2, sphere5, 7, 800)
+        a = run_episode(task, RandomPolicy(n_out=PSO_ACTION_SIZE), r1, sphere5, 7, 800)
+        b = run_episode(task, RandomPolicy(n_out=PSO_ACTION_SIZE), r2, sphere5, 7, 800)
         assert [s.gbest for s in a.steps] == [s.gbest for s in b.steps]
 
     @pytest.mark.parametrize("reads", ["reads-agent-field", "reads-no-agent-field"])
@@ -323,18 +320,18 @@ class TestEpisodes:
         task = tasks_d5["de-operator-selection"]
         bad = rsl.parse("return 1.0 / ctx.gbest_improve, {}")
         with pytest.raises(InvalidRewardError):
-            run_episode(task, make_policy(task, "random"), bad, sphere5, 7, 500)
+            run_episode(task, RandomPolicy(n_out=PSO_ACTION_SIZE), bad, sphere5, 7, 500)
 
     def test_budget_validation(self, tasks_d5, sphere5):
         task = tasks_d5["de-operator-selection"]
         with pytest.raises(ValueError):
-            run_episode(task, make_policy(task, "random"), None, sphere5, 7, 5000)
+            run_episode(task, RandomPolicy(n_out=PSO_ACTION_SIZE), None, sphere5, 7, 5000)
 
     def test_episode_log_serializable(self, tasks_d5, sphere5):
         import json
 
         task = tasks_d5["pso-parameter-control"]
-        log = run_episode(task, make_policy(task, "random"), None, sphere5, 7, 500)
+        log = run_episode(task, RandomPolicy(n_out=PSO_ACTION_SIZE), None, sphere5, 7, 500)
         doc = json.loads(json.dumps(log.to_dict()))
         assert doc["fe_used"] == log.fe_used
 
@@ -347,7 +344,7 @@ class TestEpisodes:
         wins = 0
         for seed in range(100):
             log = run_episode(
-                task, make_policy(task, "random"), None, inst, seed, 2000
+                task, RandomPolicy(n_out=PSO_ACTION_SIZE), None, inst, seed, 2000
             )
             if log.y_final < log.y_initial:
                 wins += 1
@@ -388,7 +385,7 @@ class TestHandcrafted:
 class TestPolicies:
     def test_qtable_train_deterministic(self, tasks_d5, suite_d5):
         task = tasks_d5["de-operator-selection"]
-        reward = handcrafted_reward(task)
+        reward = handcrafted_reward(task.task_id)
         p1 = train_policy(task, reward, suite_d5.train_instances[:2], 3, 500, seed=9)
         p2 = train_policy(task, reward, suite_d5.train_instances[:2], 3, 500, seed=9)
         assert envs.policy_digest(p1) == envs.policy_digest(p2)
@@ -397,7 +394,7 @@ class TestPolicies:
 
     def test_linear_train_deterministic(self, tasks_d5, suite_d5):
         task = tasks_d5["pso-parameter-control"]
-        reward = handcrafted_reward(task)
+        reward = handcrafted_reward(task.task_id)
         p1 = train_policy(task, reward, suite_d5.train_instances[:2], 10, 800, seed=9)
         p2 = train_policy(task, reward, suite_d5.train_instances[:2], 10, 800, seed=9)
         assert envs.policy_digest(p1) == envs.policy_digest(p2)

@@ -72,7 +72,7 @@ class TestEvaluateFitness:
     def test_report_shape_and_recomputability(self, micro, suite_d2):
         task, budget = micro
         report = evaluate_fitness(
-            handcrafted_reward(task), task, suite_d2, budget, seed=4
+            handcrafted_reward(task.task_id), task, suite_d2, budget, seed=4
         )
         assert not report.invalid_flag
         assert len(report.score_matrix) == len(suite_d2.test_instances)
@@ -84,8 +84,8 @@ class TestEvaluateFitness:
 
     def test_determinism(self, micro, suite_d2):
         task, budget = micro
-        a = evaluate_fitness(handcrafted_reward(task), task, suite_d2, budget, seed=4)
-        b = evaluate_fitness(handcrafted_reward(task), task, suite_d2, budget, seed=4)
+        a = evaluate_fitness(handcrafted_reward(task.task_id), task, suite_d2, budget, seed=4)
+        b = evaluate_fitness(handcrafted_reward(task.task_id), task, suite_d2, budget, seed=4)
         assert a.to_dict() == b.to_dict()
 
     def test_invalid_reward_yields_sentinel(self, micro, suite_d2):
@@ -108,7 +108,7 @@ class TestEvaluateFitness:
 
         task, budget = micro
         report = evaluate_fitness(
-            handcrafted_reward(task), task, suite_d2, budget, seed=4
+            handcrafted_reward(task.task_id), task, suite_d2, budget, seed=4
         )
         clone = FitnessReport.from_dict(report.to_dict())
         assert clone.to_dict() == report.to_dict()

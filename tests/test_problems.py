@@ -49,19 +49,18 @@ def test_dimension_mismatch_is_contract_error():
 
 
 def test_sphere_zero_shift_is_squared_distance():
-    inst = make_instance(
-        "sphere", dimension=4, instance_seed=1, _x_opt=np.zeros(4), _f_opt=0.0
-    )
-    pt = np.array([0.3, -0.4, 0.0, 0.0])  # distance 0.5
-    assert evaluate(inst, pt) == pytest.approx(0.25, abs=1e-12)
+    # Measured from the optimum, sphere is the squared distance to it.
+    inst = make_instance("sphere", dimension=4, instance_seed=1)
+    pt = inst.optimum_point + np.array([0.3, -0.4, 0.0, 0.0])  # distance 0.5
+    assert evaluate(inst, pt) - inst.optimum_value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_sphere_translation_property():
     d = np.array([0.3, -1.2, 0.8])
     vals = []
     for seed in (1, 2, 3, 4):
-        inst = make_instance("sphere", dimension=3, instance_seed=seed, _f_opt=0.0)
-        vals.append(evaluate(inst, inst.optimum_point + d))
+        inst = make_instance("sphere", dimension=3, instance_seed=seed)
+        vals.append(evaluate(inst, inst.optimum_point + d) - inst.optimum_value)
     assert max(vals) - min(vals) < 1e-9
 
 
