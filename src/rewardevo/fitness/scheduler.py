@@ -20,7 +20,7 @@ from pathlib import Path
 from .. import rsl
 from ..envs import SCHEMA_VERSION, MetaTask, make_task
 from ..problems import ProblemSuite
-from .core import EvalBudget, FitnessReport, evaluate_fitness
+from .core import REPORT_VERSION, EvalBudget, FitnessReport, evaluate_fitness
 
 logger = logging.getLogger(__name__)
 
@@ -52,6 +52,8 @@ class FitnessCache:
         self._lock = threading.Lock()
 
     def get(self, key: str) -> FitnessReport | None:
+        """The stored report, or None; a file that cannot be read, or that
+        holds a report of another ``REPORT_VERSION``, is a miss."""
         with self._lock:
             if key in self._mem:
                 return self._mem[key]
@@ -63,6 +65,8 @@ class FitnessCache:
                         json.loads(path.read_text(encoding="utf-8"))
                     )
                 except (OSError, json.JSONDecodeError, KeyError):
+                    return None
+                if report.version != REPORT_VERSION:
                     return None
                 with self._lock:
                     self._mem[key] = report

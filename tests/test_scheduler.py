@@ -1,12 +1,15 @@
+import json
 import threading
 
 import pytest
 
 from rewardevo import rsl
 from rewardevo.fitness import (
+    REPORT_VERSION,
     EvalBudget,
     EvaluationScheduler,
     FitnessCache,
+    FitnessReport,
     evaluate_fitness,
     job_key,
 )
@@ -82,6 +85,23 @@ class TestScheduler:
         fresh = make_scheduler(scheduler_parts).run([job])[0]
         assert fresh.to_dict() == first.to_dict()
 
+    def test_stale_report_version_is_recomputed(self, scheduler_parts, tmp_path):
+        job = some_jobs(1)[0]
+        fresh = make_scheduler(scheduler_parts).run([job])[0]
+        _, budget = scheduler_parts
+        key = job_key(job[0].content_hash, job[1], 3, budget)
+        stale = FitnessReport(fitness=123.0, version=0)
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(stale.to_dict()), encoding="utf-8")
+        cache = FitnessCache(tmp_path)
+        assert cache.get(key) is None
+        report = make_scheduler(scheduler_parts, cache=cache).run([job])[0]
+        assert report.to_dict() == fresh.to_dict()
+        # The stale file is overwritten with the recomputed report.
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        assert stored["version"] == REPORT_VERSION
+        assert FitnessReport.from_dict(stored).to_dict() == fresh.to_dict()
+
     def test_crashed_job_retried_once_then_surfaced(self, scheduler_parts, monkeypatch):
         attempts = []
 
@@ -129,8 +149,6 @@ class TestScheduler:
 
 class TestCacheConcurrency:
     def test_concurrent_reads_and_single_writer(self, tmp_path):
-        from rewardevo.fitness import FitnessReport
-
         cache = FitnessCache(tmp_path)
         report = FitnessReport(fitness=0.5)
         errors = []
