@@ -515,7 +515,8 @@ class TestReport:
     def test_trajectory_and_operators(self, run_dir, tmp_path):
         rc = cli.main(["report", str(run_dir)])
         assert rc == EXIT_OK
-        rows = list(csv.DictReader((run_dir / "trajectory.csv").open()))
+        with (run_dir / "trajectory.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         tasks = {r["task"] for r in rows}
         assert tasks == {PSO, DAS}
         per_task = {}
@@ -525,14 +526,16 @@ class TestReport:
             assert len(series) == 2  # gen 0 and gen 1
             vals = [float(v) for v in series if v]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-        ops = list(csv.DictReader((run_dir / "operators.csv").open()))
+        with (run_dir / "operators.csv").open(newline="") as fh:
+            ops = list(csv.DictReader(fh))
         tags = {r["operator"] for r in ops}
         assert {"expert", "init", "m1", "m2", "m3", "c1", "c2"} <= tags
 
     def test_sne_against_itself_is_one(self, run_dir):
         rc = cli.main(["report", str(run_dir), "--baseline", str(run_dir)])
         assert rc == EXIT_OK
-        rows = list(csv.reader((run_dir / "sne.csv").open()))
+        with (run_dir / "sne.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[-1][0] == "ALL"
         assert float(rows[-1][3]) == 1.0
 

@@ -382,7 +382,8 @@ class TestDiscoveryRuns:
         cfg, result, out = self._run(tmp_path, g=3)
         import csv
 
-        rows = list(csv.DictReader((out / "report.csv").open()))
+        with (out / "report.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         per_task = {}
         for row in rows:
             per_task.setdefault(row["task"], []).append(row["best_fitness"])
