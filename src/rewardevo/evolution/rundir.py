@@ -4,12 +4,15 @@
     niches/<task>/gen-<g>/<id>.json  per-generation individual records
     archive.jsonl                    eliminated individuals, append-only
     transfers.jsonl                  knowledge-transfer history H
-    exchanges.jsonl                  LLM exchanges (template, prompt hash)
+    exchanges.jsonl                  answered LLM requests (template id,
+                                     prompt hash, response, attempt)
     snapshots/gen-<g>.json           resumable full state
     report.csv                       per-generation per-task summary
     best/<task>.rsl (+ .json)        final best reward per task
     fitness-cache/<digest>.json      persisted fitness reports
 
+The three .jsonl logs are created with their first line; a failed LLM
+request leaves no line in exchanges.jsonl, only a WARNING log record.
 Nothing here writes timestamps, so identical runs produce byte-identical
 directories.
 """

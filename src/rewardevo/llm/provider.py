@@ -237,8 +237,9 @@ class MockProvider:
 
 
 class RecordingProvider:
-    """Wraps a provider and appends every exchange to a JSONL file
-    (template_id, prompt hash, response, attempt)."""
+    """Wraps a provider and appends every answered request to a JSONL file
+    (template_id, prompt hash, response, attempt); a request that raises
+    leaves no line."""
 
     def __init__(self, inner, path: str | Path):
         self.inner = inner
