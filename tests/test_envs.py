@@ -421,7 +421,10 @@ class TestTaskConstruction:
             50,
             {"kind": "qtable", "n_actions": 3, "lr": None, "gamma": 0.3, "epsilon": 0.4},
         ),
-        "pso-parameter-control": (100, {"kind": "linear", "n_out": 35, "sigma": 0.2}),
+        "pso-parameter-control": (
+            100,
+            {"kind": "linear", "n_out": 35, "sigma": 0.2, "w": np.zeros((35, 5)).tolist()},
+        ),
         "algorithm-selection": (
             50,
             {"kind": "qtable", "n_actions": 3, "lr": None, "gamma": 0.3, "epsilon": 0.4},
@@ -434,8 +437,6 @@ class TestTaskConstruction:
         task = make_task(task_id, suite_d5)
         policy = make_policy(task).to_dict()
         assert {k: policy[k] for k in settings} == settings
-        if policy["kind"] == "linear":
-            assert np.array_equal(policy["w"], np.zeros((35, 5)))
         # max_fes defaults to 5000.
         with pytest.raises(ValueError, match="exceeds the task's MaxFEs"):
             run_episode(task, make_policy(task), None, sphere5, 7, 5001)
